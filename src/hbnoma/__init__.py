@@ -29,10 +29,13 @@ from .channel import (
     UserLink,
     beam_collinearity,
     collinearity_sum,
+    counter_uniform,
+    dirichlet_kernel,
     gain_db_to_beta,
     normalized_angle,
     steering_vector,
     synthesize_scenario,
+    user_angles,
     validate_config,
 )
 from .errors import (
@@ -51,10 +54,12 @@ from .errors import (
 )
 from .montecarlo import (
     Baselines,
+    BlockMetrics,
     ExperimentSpec,
     ResultRow,
     ResultTable,
     TrialMetrics,
+    block_metrics,
     preset,
     run_experiment,
     trial_metrics,

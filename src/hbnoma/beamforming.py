@@ -1,7 +1,7 @@
 """Three-step hybrid precoder construction.
 
-Step 1: combiners and the analog precoder are steering vectors (the combiner
-at each user's AoA, the RF columns at the strongest user's AoD per cluster).
+Step 1: the analog precoder's columns are steering vectors at the strongest
+user's AoD per cluster.
 Step 2: the digital stage zero-forces the strongest users' effective channels
 with a diagonal scaling that makes every composite column unit power.
 Step 3 (ordering and power split) lives in the noma module.
@@ -68,31 +68,15 @@ def build_rf_precoder(scenario: Scenario, first_users) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def build_combiner(link: UserLink, ula_ue: UlaConfig) -> np.ndarray:
-    """Receive combiner: the user's own steering vector."""
-    return steering_vector(link.theta_norm, ula_ue)
-
-
 def effective_channel(link: UserLink, f_rf: np.ndarray, ula_bs: UlaConfig, array_gain: float) -> np.ndarray:
     """Effective channel h with h^H = sqrt(N_BS N_U) beta a_BS^H(phi) F_RF.
 
-    The combiner drops out because |w^H a_U(theta)| = 1; the closed form
-    avoids touching the receive dimension.
+    The receive combiner is matched to the user's arrival direction, so it
+    contributes a unit factor and the arrival angle never enters.
     """
     a_bs = steering_vector(link.phi_norm, ula_bs)
     h_dag = math.sqrt(array_gain) * link.beta * (a_bs.conj() @ f_rf)
     return h_dag.conj()
-
-
-def effective_channel_full(
-    link: UserLink, f_rf: np.ndarray, ula_bs: UlaConfig, ula_ue: UlaConfig
-) -> np.ndarray:
-    """Debug path: the full triple product (w^H H F_RF)^H for cross-validation."""
-    from .channel import single_path_channel
-
-    w = build_combiner(link, ula_ue)
-    h_full = single_path_channel(link, ula_bs, ula_ue)
-    return (w.conj() @ h_full @ f_rf).conj()
 
 
 def build_zf_baseband(eff_first: np.ndarray, gram: np.ndarray, betas_first, array_gain: float):
@@ -119,11 +103,7 @@ def design_precoder(scenario: Scenario) -> HybridPrecoder:
     eig = hermitian_eig(gram)
     eigs = eig.values
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > CONDITION_CAP:
-        pair = _closest_cluster_pair(gram)
-        raise SingularMatrix(
-            f"analog beams of clusters {pair[0]} and {pair[1]} are nearly parallel "
-            f"(Gram condition above {CONDITION_CAP:.0e})"
-        )
+        raise singular_gram_error(gram)
     array_gain = scenario.array_gain
     eff_first = np.column_stack(
         [
@@ -157,10 +137,15 @@ def rf_subspace_modes(f_rf: np.ndarray, gram_eig: EigenPair) -> EigenPair:
     return EigenPair(values=values.copy(), vectors=vectors)
 
 
-def _closest_cluster_pair(gram: np.ndarray) -> tuple[int, int]:
+def singular_gram_error(gram: np.ndarray) -> SingularMatrix:
+    """The error for a Gram matrix over the condition cap, naming its most collinear pair."""
     n = gram.shape[0]
-    if n == 1:
-        return (1, 1)
-    off = np.abs(gram - np.diag(np.diag(gram)))
-    i, j = np.unravel_index(np.argmax(off), off.shape)
-    return (min(i, j) + 1, max(i, j) + 1)
+    pair = (1, 1)
+    if n > 1:
+        off = np.abs(gram - np.diag(np.diag(gram)))
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        pair = (min(i, j) + 1, max(i, j) + 1)
+    return SingularMatrix(
+        f"analog beams of clusters {pair[0]} and {pair[1]} are nearly parallel "
+        f"(Gram condition above {CONDITION_CAP:.0e})"
+    )

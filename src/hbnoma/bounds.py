@@ -19,6 +19,7 @@ from .noma import rate_from_terms
 from .numerics import EigenPair, gram_max_eigen
 
 NORM_FLOOR = 1e-150
+LEAK_NORM_FLOOR = 1e-12  # below this the leakage combination has no direction
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def leakage_direction(
         acc += weight * link.beta * (f_rf.conj().T @ steering_vector(link.phi_norm, ula_bs))
     acc *= math.sqrt(array_gain)
     norm = float(np.linalg.norm(acc))
-    if norm < 1e-12:
+    if norm < LEAK_NORM_FLOOR:
         raise DegenerateSubspace("leakage combination has (near-)zero norm")
     return acc / norm
 

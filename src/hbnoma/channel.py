@@ -5,6 +5,10 @@ is 2 * (D/lambda) * sin(physical), so with the default half-wavelength spacing
 it lives in [-1, 1]. Misalignment offsets are drawn in physical degrees and
 added before normalization. Channel gains are configured in dB with
 |beta|^2 = 10^(dB/10) and phase 0.
+
+Random draws come from a stateless counter hash (SplitMix64) of the key
+(seed, trial, cluster, user), so any block of trials is drawn at once and
+every draw is independent of execution order.
 """
 
 from __future__ import annotations
@@ -38,17 +42,15 @@ class UlaConfig:
 class UserLink:
     """One user's physical link parameters.
 
-    cluster and user are 1-based indices; phi_norm/theta_norm are the
-    normalized departure/arrival angles actually used by the steering vectors.
+    cluster and user are 1-based indices; phi_norm is the normalized
+    departure angle actually used by the steering vectors.
     """
 
     cluster: int
     user: int
     beta: complex
     aod_deg: float
-    aoa_deg: float
     phi_norm: float
-    theta_norm: float
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,37 @@ def collinearity_sum(phi: float, anchor_phis, ula: UlaConfig) -> float:
     return float(sum(beam_collinearity(anchor, phi, ula) for anchor in anchor_phis))
 
 
-def single_path_channel(link: UserLink, ula_bs: UlaConfig, ula_ue: UlaConfig) -> np.ndarray:
-    """Rank-1 channel sqrt(N_BS N_U) beta a_U(theta) a_BS^H(phi), shape N_U x N_BS."""
-    scale = math.sqrt(ula_bs.n_elements * ula_ue.n_elements) * link.beta
-    a_ue = steering_vector(link.theta_norm, ula_ue)
-    a_bs = steering_vector(link.phi_norm, ula_bs)
-    return scale * np.outer(a_ue, a_bs.conj())
+def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
+    """Complex inner product a^H(phi) a(phi + delta) of n-element steering vectors.
+
+    Elementwise over the array delta (at least 1-D in the result). The
+    kernel has period 2 in delta, so
+    delta is first reduced exactly to r in [-1, 1]; then
+    a^H(phi) a(phi + delta) = exp(-j pi (n-1) r / 2) sin(n pi r / 2) / (n sin(pi r / 2)),
+    which stays accurate near r = 0, including the grating lobes at delta = +-2.
+    Its squared magnitude is beam_collinearity.
+    """
+    # in-place steps keep a large block to a few arrays of its size
+    half = np.round(0.5 * np.atleast_1d(delta))
+    half *= -2.0
+    half += delta  # r
+    half *= 0.5 * math.pi
+    denom = np.sin(half)
+    aligned = denom == 0.0
+    denom[aligned] = 1.0
+    denom *= n_elements
+    ratio = np.multiply(half, n_elements)
+    np.sin(ratio, out=ratio)
+    ratio /= denom
+    ratio[aligned] = 1.0
+    del denom
+    half *= n_elements - 1
+    out = np.empty(half.shape, dtype=np.complex128)
+    np.cos(half, out=out.real)
+    np.sin(half, out=out.imag)
+    np.negative(out.imag, out=out.imag)  # exp(-j (n-1) pi r / 2)
+    out *= ratio
+    return out
 
 
 def gain_db_to_beta(gain_db: float) -> complex:
@@ -182,11 +209,6 @@ def pathloss_beta(distance: float, exponent: float, rng: np.random.Generator) ->
         raise ConfigError(f"distance must be positive, got {distance}")
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return distance ** (-exponent / 2.0) * complex(math.cos(phase), math.sin(phase))
-
-
-def _user_stream(seed: int, trial: int, cluster: int, user: int) -> np.random.Generator:
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF, trial, cluster, user)
-    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -219,42 +241,83 @@ def first_user_index(gains_db) -> int:
     return best
 
 
+def counter_uniform(seed: int, trial, cluster, user) -> np.ndarray:
+    """Uniform [0, 1) numbers from a stateless hash of the key (seed, trial, cluster, user).
+
+    Each key part is folded into a SplitMix64 state in turn; the top 53 bits
+    of the result give the uniform (Salmon et al., "Parallel Random
+    Numbers: As Easy as 1, 2, 3", SC'11). trial, cluster and user are
+    non-negative integers or integer arrays that broadcast together; the
+    result has their broadcast shape (at least one dimension).
+    """
+    state = np.full(1, int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    for part in (trial, cluster, user):
+        state = _splitmix64(state) ^ np.asarray(part, dtype=np.uint64)
+    return (_splitmix64(state) >> 11) * 2.0**-53
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    x = x + 0x9E3779B97F4A7C15  # uint64 arithmetic wraps modulo 2^64
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
+def user_angles(cfg: ScenarioConfig, seed: int, trials) -> tuple[np.ndarray, np.ndarray]:
+    """AoDs in degrees and normalized angles of every user for a block of trials.
+
+    Both arrays are (len(trials), users) with users in flat order (cluster by
+    cluster, configured order inside each). The strongest user of each
+    cluster keeps the configured cluster AoD exactly; every other user's AoD
+    is the cluster AoD plus an offset uniform on [-b, b] degrees, drawn by
+    counter_uniform from the key (seed, trial, cluster, user).
+    """
+    cluster_idx, user_idx, base, anchor = [], [], [], []
+    for ci, cluster in enumerate(cfg.clusters):
+        first = first_user_index(cluster.gains_db)
+        for ui in range(len(cluster.gains_db)):
+            cluster_idx.append(ci)
+            user_idx.append(ui)
+            base.append(cluster.aod_deg)
+            anchor.append(ui == first)
+    trials = np.asarray(trials, dtype=np.uint64).reshape(-1, 1)
+    base = np.array(base)
+    b = cfg.misalign_deg
+    if b == 0.0:
+        aod = np.broadcast_to(base, (len(trials), len(base)))
+    else:
+        u = counter_uniform(seed, trials, np.array(cluster_idx), np.array(user_idx))
+        aod = np.where(anchor, base, base + (-b + 2.0 * b * u))
+    phi = 2.0 * cfg.spacing_over_wavelength * np.sin(np.radians(aod))
+    return aod, phi
+
+
 def synthesize_scenario(cfg: ScenarioConfig, seed: int, trial: int = 0) -> Scenario:
     """Draw one scenario realization.
 
-    The strongest user of each cluster keeps the configured cluster AoD
-    exactly; every other user's AoD is the cluster AoD plus an offset drawn
-    uniformly from [-b, b] degrees. AoAs are uniform in [-90, 90] degrees
-    (they never affect rates). Draws come from a stream keyed by
-    (seed, trial, cluster, user), so the result is bit-reproducible for a
-    fixed configuration regardless of execution order.
+    The angles are those user_angles draws for this trial, so a scenario
+    and the batched engine see identical AoDs; the result is bit-reproducible
+    for a fixed configuration regardless of execution order.
     """
     validate_config(cfg)
     ula_bs = UlaConfig(cfg.n_bs, cfg.spacing_over_wavelength)
     ula_ue = UlaConfig(cfg.n_ue, cfg.spacing_over_wavelength)
-    b = cfg.misalign_deg
+    aod, phi = (a[0].tolist() for a in user_angles(cfg, seed, [trial]))
     clusters = []
+    flat = 0
     for ci, cluster in enumerate(cfg.clusters):
-        anchor = first_user_index(cluster.gains_db)
         users = []
         for ui, gain_db in enumerate(cluster.gains_db):
-            rng = _user_stream(seed, trial, ci, ui)
-            aoa = rng.uniform(-90.0, 90.0)
-            if ui == anchor or b == 0.0:
-                aod = cluster.aod_deg
-            else:
-                aod = cluster.aod_deg + rng.uniform(-b, b)
             users.append(
                 UserLink(
                     cluster=ci + 1,
                     user=ui + 1,
                     beta=gain_db_to_beta(gain_db),
-                    aod_deg=aod,
-                    aoa_deg=aoa,
-                    phi_norm=normalized_angle(aod, cfg.spacing_over_wavelength),
-                    theta_norm=normalized_angle(aoa, cfg.spacing_over_wavelength),
+                    aod_deg=aod[flat],
+                    phi_norm=phi[flat],
                 )
             )
+            flat += 1
         clusters.append(tuple(users))
     return Scenario(
         ula_bs=ula_bs,

@@ -1,10 +1,12 @@
 """Experiment runner: sweeps, misalignment averaging, baselines.
 
 A trial draws one scenario realization, designs the precoder, allocates power
-and evaluates exact rates and all bounds. Every per-user quantity is linear in
-the total power, so an SNR sweep shares the per-trial geometry and rescales.
-Trials are independent work items; results are reduced in trial order, making
-the output bit-identical for any worker count.
+and evaluates exact rates and all bounds. One engine evaluates a block of
+trials at once, in closed form over (trials, users, clusters) arrays. Every
+per-user quantity is linear in the total power, so an SNR sweep shares the
+per-trial geometry and rescales. Blocks of CHUNK trials are independent work
+items; they are reduced in trial order, making the output bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -15,23 +17,33 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamforming import design_precoder, effective_channel
-from .bounds import kappa_max_S, leakage_direction, misalignment_factor, model_effective_channel
-from .channel import ClusterSpec, ScenarioConfig, collinearity_sum, synthesize_scenario
+from .beamforming import CONDITION_CAP, singular_gram_error
+from .bounds import LEAK_NORM_FLOOR
+from .channel import (
+    ANGLE_SLACK,
+    ClusterSpec,
+    ScenarioConfig,
+    dirichlet_kernel,
+    first_user_index,
+    gain_db_to_beta,
+    synthesize_scenario,
+    user_angles,
+    validate_config,
+)
 from .errors import (
     ConfigError,
     DegenerateScenario,
     DegenerateSubspace,
+    OutOfRange,
     SingularMatrix,
     TrialError,
     UnknownPreset,
 )
-from .noma import allocate_power, fully_digital_rates, oma_rate, order_users_by_effective
+from .noma import fully_digital_rates, oma_rate
 
 LOG2 = math.log(2.0)
 CHUNK = 64
 SWEEP_NAMES = ("snr_db", "n_bs", "cluster_size")
-EXCLUDABLE = (SingularMatrix, DegenerateScenario, DegenerateSubspace)
 
 
 @dataclass(frozen=True)
@@ -105,155 +117,243 @@ class ResultTable:
         return tuple(seen)
 
 
-@dataclass
-class _TrialQuantities:
-    """Power-normalized per-user invariants of one scenario draw (flat user order)."""
+# Exclusion codes of a draw: 0 keeps it; otherwise the exception the draw
+# raises when evaluated alone.
+EXCLUSIONS = {1: SingularMatrix, 2: DegenerateSubspace, 3: DegenerateScenario}
+_SINGULAR, _SUBSPACE, _SCENARIO = EXCLUSIONS
+_EXCLUSION_MESSAGES = {
+    _SUBSPACE: "leakage combination has (near-)zero norm",
+    _SCENARIO: "all effective channel norms are zero",
+}
 
-    cluster_of: np.ndarray
+
+@dataclass(frozen=True)
+class _Layout:
+    """Flat user indexing of one configuration (cluster by cluster)."""
+
+    cluster_of: np.ndarray  # (U,) 0-based cluster of each user
+    user: np.ndarray  # (U,) 1-based index inside its cluster
+    anchors: np.ndarray  # (N,) flat index of each cluster's strongest user
+    starts: np.ndarray  # (N,) flat index of each cluster's first user
+    sizes: np.ndarray  # (N,) users per cluster
+    c_beta_sq: np.ndarray  # (U,) N_BS N_U |beta|^2
+
+    @classmethod
+    def of(cls, cfg: ScenarioConfig) -> "_Layout":
+        validate_config(cfg)
+        sizes = np.array([len(c.gains_db) for c in cfg.clusters])
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        cluster_of = np.repeat(np.arange(len(sizes)), sizes)
+        user = np.arange(len(cluster_of)) - starts[cluster_of] + 1
+        c = float(cfg.n_bs * cfg.n_ue)
+        return cls(
+            cluster_of=cluster_of,
+            user=user,
+            anchors=starts + [first_user_index(cl.gains_db) for cl in cfg.clusters],
+            starts=starts,
+            sizes=sizes,
+            c_beta_sq=np.array(
+                [c * abs(gain_db_to_beta(g)) ** 2 for cl in cfg.clusters for g in cl.gains_db]
+            ),
+        )
+
+
+@dataclass
+class _Geometry:
+    """Power-normalized per-user invariants of a block of draws, (T, U) unless noted."""
+
+    layout: _Layout
+    excluded: np.ndarray  # (T,) exclusion code
+    gram: np.ndarray  # (T, N, N)
     position: np.ndarray
     share_user: np.ndarray
     share_earlier: np.ndarray
     own_gain: np.ndarray
     inter_gain_unit: np.ndarray
-    c_beta_sq: np.ndarray
     rho: np.ndarray
     k_user: np.ndarray
-    k_first: np.ndarray
-    kappa_s_unit: np.ndarray
-    finv_diag: np.ndarray
-    kappa_min: float
+    k_first: np.ndarray  # (T, N)
+    finv_diag: np.ndarray  # (T, N)
+    kappa_min: np.ndarray  # (T,)
+    kappa_s_unit: np.ndarray | None  # (T, N); None when the bounds are skipped
 
 
-def _trial_quantities(
-    cfg: ScenarioConfig, seed: int, trial: int, model_channels: bool, leak_weighted: bool
-) -> _TrialQuantities:
-    scen = synthesize_scenario(cfg, seed, trial)
-    pre = design_precoder(scen)
-    c = scen.array_gain
-    n = scen.n_clusters
-    ula_bs = scen.ula_bs
-    firsts = pre.first_users
-    first_links = [scen.clusters[i][firsts[i]] for i in range(n)]
-    phis_first = [link.phi_norm for link in first_links]
+def _geometry(
+    cfg: ScenarioConfig,
+    lay: _Layout,
+    seed: int,
+    trials,
+    model_channels: bool,
+    leak_weighted: bool,
+    bounds: bool = True,
+) -> _Geometry:
+    """Synthesize, precode and allocate a block of draws in closed form.
 
-    eff = [
-        [effective_channel(link, pre.f_rf, ula_bs, c) for link in cluster]
-        for cluster in scen.clusters
-    ]
-    anchors = [eff[i][firsts[i]] for i in range(n)]
-    k_first = np.array([collinearity_sum(phi, phis_first, ula_bs) for phi in phis_first])
-    k_user = [
-        np.array([collinearity_sum(link.phi_norm, phis_first, ula_bs) for link in cluster])
-        for cluster in scen.clusters
-    ]
-    def _rho(ci, ui):
-        link = scen.clusters[ci][ui]
-        if ui == firsts[ci] or link.phi_norm == first_links[ci].phi_norm:
-            return 1.0
-        return misalignment_factor(eff[ci][ui], anchors[ci])
+    Every quantity is a function of the complex kernel
+    K[t, u, n] = a^H(phi_first,n) a(phi_u) over the N cluster beams; the
+    N_BS dimension is never formed. With H_bar square, the zero-forcing
+    stage reduces to F_BB = G^{-1} diag(1 / sqrt([G^{-1}]_nn)).
+    """
+    trials = np.asarray(trials, dtype=np.int64)
+    n = len(lay.anchors)
+    if model_channels and n < 2:
+        raise ConfigError("model-generated channels need at least two clusters")
+    _, phi = user_angles(cfg, seed, trials)
+    bad = np.abs(phi) > 1.0 + ANGLE_SLACK
+    if bad.any():
+        t, u = np.argwhere(bad)[0]
+        cause = OutOfRange(f"normalized angle {phi[t, u]} outside [-1, 1]")
+        raise TrialError(int(trials[t]), cause) from cause
 
-    rho = [
-        np.array([_rho(ci, ui) for ui in range(len(cluster))])
-        for ci, cluster in enumerate(scen.clusters)
-    ]
+    kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
+    gram = kern[:, lay.anchors, :].transpose(0, 2, 1)  # G[k, n] = a_k^H a_n
+    eigs = np.linalg.eigvalsh(gram)
+    singular = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > CONDITION_CAP * eigs[:, 0])
+    # a singular draw is excluded; an identity Gram stands in for it so that
+    # the block's arithmetic stays finite
+    finv = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), gram))
+    finv_diag = np.diagonal(finv, axis1=1, axis2=2).real
+    f_bb = finv / np.sqrt(finv_diag)[:, None, :]
 
+    k_user = _norm_sq(kern)
+    k_anchor = k_user[:, lay.anchors]
+    raw_norms = lay.c_beta_sq * k_user
+    degenerate = ~np.all(raw_norms > 0.0, axis=1)
+    # rho: |<K_anchor, K_u>| over the norms, K_anchor the user's own anchor row
+    cross = kern @ kern[:, lay.anchors].conj().transpose(0, 2, 1)
+    cross = np.take_along_axis(cross, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_anchor[:, lay.cluster_of]), 1.0)
+    rho = np.where(phi == phi[:, lay.anchors[lay.cluster_of]], 1.0, rho)
+
+    # effective channels are sqrt(c_beta_sq) * chan; chan is the kernel row
+    # unless modeled channels replace the non-anchor users
+    chan = kern
+    leak_collapsed = np.zeros(len(trials), dtype=bool)
+    norms = raw_norms
     if model_channels:
-        if n < 2:
-            raise ConfigError("model-generated channels need at least two clusters")
-        raw_norms = [np.array([float(np.vdot(h, h).real) for h in cluster]) for cluster in eff]
-        raw_shares = allocate_power(raw_norms, 1.0).cluster_power
-        anchor_hats = [h / np.linalg.norm(h) for h in anchors]
-        for ci, cluster in enumerate(scen.clusters):
-            leak = leakage_direction(
-                pre.f_rf, first_links, raw_shares, ci, c, ula_bs, weighted=leak_weighted
-            )
-            for ui, link in enumerate(cluster):
-                if ui == firsts[ci]:
-                    continue
-                scale = math.sqrt(c * abs(link.beta) ** 2 * k_user[ci][ui])
-                eff[ci][ui] = scale * model_effective_channel(
-                    rho[ci][ui], anchor_hats[ci], leak
-                )
+        raw_sums = np.add.reduceat(raw_norms, lay.starts, axis=1)
+        raw_shares = raw_sums / raw_sums.sum(axis=1, keepdims=True)
+        weights = np.sqrt(lay.c_beta_sq[lay.anchors]) * (
+            np.sqrt(raw_shares) if leak_weighted else np.ones_like(raw_shares)
+        )
+        # leak[t, n] = sum over l != n of weight_l * (anchor l's effective channel)
+        others = weights[:, None, :] * (1.0 - np.eye(n))
+        leak = others @ gram.transpose(0, 2, 1)
+        leak_norm = np.linalg.norm(leak, axis=2)
+        leak_collapsed = np.any(leak_norm < LEAK_NORM_FLOOR, axis=1)
+        leak = leak / np.where(leak_collapsed[:, None], 1.0, leak_norm)[:, :, None]
+        anchor_rows = kern[:, lay.anchors]
+        anchor_hat = anchor_rows / np.linalg.norm(anchor_rows, axis=2, keepdims=True)
+        modeled = np.sqrt(k_user)[:, :, None] * (
+            rho[:, :, None] * anchor_hat[:, lay.cluster_of]
+            + np.sqrt(1.0 - rho**2)[:, :, None] * leak[:, lay.cluster_of]
+        )
+        is_anchor = np.zeros(len(lay.cluster_of), dtype=bool)
+        is_anchor[lay.anchors] = True
+        chan = np.where(is_anchor[:, None], kern, modeled)
+        norms = lay.c_beta_sq * _norm_sq(chan)
 
-    norms = [np.array([float(np.vdot(h, h).real) for h in cluster]) for cluster in eff]
-    shares = allocate_power(norms, 1.0)
-    share_cluster = shares.cluster_power
+    sums = np.add.reduceat(norms, lay.starts, axis=1)
+    with np.errstate(invalid="ignore"):  # 0/0 only on a draw excluded as degenerate
+        share_cluster = sums / sums.sum(axis=1, keepdims=True)
+    share_user = share_cluster[:, lay.cluster_of] / lay.sizes[lay.cluster_of]
+    # decode order: strongest effective norm first inside each cluster, ties
+    # by index; sorting by cluster first leaves each cluster's slots in place,
+    # so the k-th slot of a cluster is decode position k
+    order = np.lexsort((-norms, np.broadcast_to(lay.cluster_of, norms.shape)))
+    position = np.empty(norms.shape, dtype=np.int64)
+    np.put_along_axis(position, order, np.broadcast_to(lay.user, norms.shape), axis=1)
 
-    cluster_of, position, share_user, share_earlier = [], [], [], []
-    for ci, cluster in enumerate(scen.clusters):
-        order = order_users_by_effective(norms[ci])
-        pos = np.empty(len(cluster), dtype=np.int64)
-        pos[order] = np.arange(1, len(cluster) + 1)
-        user_shares = shares.user_power[ci]
-        earlier = np.empty(len(cluster))
-        acc = 0.0
-        for idx in order:
-            earlier[idx] = acc
-            acc += user_shares[idx]
-        cluster_of.append(np.full(len(cluster), ci))
-        position.append(pos)
-        share_user.append(user_shares)
-        share_earlier.append(earlier)
-    cluster_of = np.concatenate(cluster_of)
-    position = np.concatenate(position)
-    share_user = np.concatenate(share_user)
-    share_earlier = np.concatenate(share_earlier)
-
-    flat_eff = np.vstack([h for cluster in eff for h in cluster])
-    beam_gains = np.abs(flat_eff.conj() @ pre.f_bb) ** 2
-    own_gain = beam_gains[np.arange(len(cluster_of)), cluster_of]
-    inter_gain_unit = beam_gains @ share_cluster - share_cluster[cluster_of] * own_gain
-
-    kappa_s_unit = np.array(
-        [kappa_max_S(pre.f_bb, share_cluster, exclude=i) for i in range(n)]
+    beam_gains = np.abs(chan @ f_bb.conj())  # |h^H F_BB| / sqrt(c_beta_sq)
+    beam_gains *= beam_gains
+    beam_gains *= lay.c_beta_sq[:, None]
+    own_gain = np.take_along_axis(beam_gains, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
+    inter_gain_unit = (
+        np.sum(beam_gains * share_cluster[:, None, :], axis=2)
+        - share_cluster[:, lay.cluster_of] * own_gain
     )
-    c_beta_sq = np.array([c * abs(link.beta) ** 2 for link in scen.links()])
-    return _TrialQuantities(
-        cluster_of=cluster_of,
+
+    del kern, chan  # the (T, U, N) arrays are done with; free them before the eigen stack
+    kappa_s_unit = None
+    if bounds:
+        # kappa_max(S) per excluded cluster: the largest eigenvalue of the
+        # power-weighted F_BB^H F_BB with that cluster's row and column zeroed
+        root_p = np.sqrt(share_cluster)
+        f_gram = f_bb.conj().transpose(0, 2, 1) @ f_bb
+        weighted = root_p[:, :, None] * f_gram * root_p[:, None, :]
+        keep = 1.0 - np.maximum(np.eye(n)[:, :, None], np.eye(n)[:, None, :])
+        kappa_s_unit = np.linalg.eigvalsh(weighted[:, None] * keep)[..., -1]
+
+    excluded = np.select(
+        [singular, degenerate, leak_collapsed], [_SINGULAR, _SCENARIO, _SUBSPACE], 0
+    )
+    return _Geometry(
+        layout=lay,
+        excluded=excluded,
+        gram=gram,
         position=position,
         share_user=share_user,
-        share_earlier=share_earlier,
+        share_earlier=(position - 1) * share_user,
         own_gain=own_gain,
         inter_gain_unit=inter_gain_unit,
-        c_beta_sq=c_beta_sq,
-        rho=np.concatenate(rho),
-        k_user=np.concatenate(k_user),
-        k_first=k_first,
+        rho=rho,
+        k_user=k_user,
+        k_first=k_anchor,
+        finv_diag=finv_diag,
+        kappa_min=np.where(singular, 1.0, eigs[:, 0]),
         kappa_s_unit=kappa_s_unit,
-        finv_diag=pre.inv_gram_diag,
-        kappa_min=pre.kappa_min,
     )
+
+
+def _norm_sq(x: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis of a complex array."""
+    return np.square(x.real).sum(axis=-1) + np.square(x.imag).sum(axis=-1)
 
 
 def _log2p(x: np.ndarray) -> np.ndarray:
     return np.log1p(x) / LOG2
 
 
-def _eval_at_power(tq: _TrialQuantities, p_total: float, noise_var: float):
-    """Rates, bounds, theorem-semantics gap and its bound at one power level."""
-    p_user = p_total * tq.share_user
-    p_earlier = p_total * tq.share_earlier
-    cb = tq.c_beta_sq
+def _evaluate(geo: _Geometry, p_total: float, noise_var: float) -> dict[str, np.ndarray]:
+    """Per-user (T, U) fields at one power level: exact rate, gap and, unless skipped, bounds."""
+    lay = geo.layout
+    p_user = p_total * geo.share_user
+    p_earlier = p_total * geo.share_earlier
+    cb = lay.c_beta_sq
     rate = _log2p(
-        p_user * tq.own_gain
-        / (p_earlier * tq.own_gain + p_total * tq.inter_gain_unit + noise_var)
+        p_user * geo.own_gain
+        / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + noise_var)
     )
-    lb1 = _log2p(p_user * cb / (p_earlier * cb + noise_var / tq.kappa_min))
-    rho_sq = tq.rho**2
-    kappa_s = p_total * tq.kappa_s_unit[tq.cluster_of]
-    k_first = tq.k_first[tq.cluster_of]
+    aligned = _log2p(
+        p_user * cb / (p_earlier * cb + noise_var * geo.finv_diag[:, lay.cluster_of])
+    )
+    out = {"rho": geo.rho, "rate_exact": rate, "rate_gap": aligned - rate}
+    if geo.kappa_s_unit is None:
+        return out
+    kappa_min = geo.kappa_min[:, None]
+    rho_sq = geo.rho**2
+    kappa_s = p_total * geo.kappa_s_unit[:, lay.cluster_of]
+    k_first = geo.k_first[:, lay.cluster_of]
     zeta_intra = p_earlier * rho_sq * cb
-    zeta_inter = (1.0 - rho_sq) * cb * kappa_s * k_first / tq.kappa_min
-    zeta_noise = noise_var * k_first / (tq.kappa_min * tq.k_user)
-    lb2 = _log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise))
-    aligned = _log2p(p_user * cb / (p_earlier * cb + noise_var * tq.finv_diag[tq.cluster_of]))
-    gap = aligned - rate
+    zeta_inter = (1.0 - rho_sq) * cb * kappa_s * k_first / kappa_min
+    zeta_noise = noise_var * k_first / (kappa_min * geo.k_user)
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = (1.0 - rho_sq) * kappa_s + noise_var / (tq.k_user * cb)
-        den = rho_sq * tq.kappa_min * p_earlier / k_first
+        num = (1.0 - rho_sq) * kappa_s + noise_var / (geo.k_user * cb)
+        den = rho_sq * kappa_min * p_earlier / k_first
         gap_ub = np.where(den > 0.0, _log2p(num / np.where(den > 0.0, den, 1.0)), np.inf)
-    applicable = (tq.position >= 2) & np.isfinite(gap_ub)
-    return rate, lb1, lb2, gap, gap_ub, applicable
+    out.update(
+        rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + noise_var / kappa_min)),
+        rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),
+        gap_ub_thm3=gap_ub,
+        gap_ub_applicable=(geo.position >= 2) & np.isfinite(gap_ub),
+    )
+    return out
+
+
+def _power(cfg: ScenarioConfig, snr_db: float | None) -> float:
+    snr = cfg.snr_db if snr_db is None else snr_db
+    return cfg.noise_var * 10.0 ** (snr / 10.0)
 
 
 @dataclass(frozen=True)
@@ -272,6 +372,50 @@ class TrialMetrics:
     gap_ub_applicable: np.ndarray
 
 
+@dataclass(frozen=True)
+class BlockMetrics(TrialMetrics):
+    """Per-user outcomes of a block of draws.
+
+    cluster and user label the U users as in TrialMetrics; every other
+    per-user field is (T, U), one row per entry of block_metrics' trials.
+    excluded holds one code per trial: 0 for a kept draw, otherwise the key
+    in EXCLUSIONS of the exception that draw raises in trial_metrics. The
+    row of an excluded draw holds NaN, position 0 and no applicable gap bound.
+    """
+
+    excluded: np.ndarray
+
+
+def block_metrics(
+    cfg: ScenarioConfig,
+    seed: int,
+    trials,
+    snr_db: float | None = None,
+    model_channels: bool = False,
+    leak_weighted: bool = True,
+) -> BlockMetrics:
+    """The pipeline (synthesize, precode, allocate, rates, bounds) on a block of draws.
+
+    Draw t of the block is the draw trial_metrics(cfg, seed, trials[t], ...)
+    evaluates. A draw whose normalized angle leaves [-1, 1] fails the block
+    with TrialError naming the lowest such trial.
+    """
+    lay = _Layout.of(cfg)
+    geo = _geometry(cfg, lay, seed, trials, model_channels, leak_weighted)
+    fields = _evaluate(geo, _power(cfg, snr_db), cfg.noise_var)
+    kept = (geo.excluded == 0)[:, None]
+    applicable = fields.pop("gap_ub_applicable") & kept
+    fields = {name: np.where(kept, value, np.nan) for name, value in fields.items()}
+    return BlockMetrics(
+        excluded=geo.excluded,
+        cluster=lay.cluster_of + 1,
+        user=lay.user,
+        position=np.where(kept, geo.position, 0),
+        gap_ub_applicable=applicable,
+        **fields,
+    )
+
+
 def trial_metrics(
     cfg: ScenarioConfig,
     seed: int,
@@ -280,81 +424,92 @@ def trial_metrics(
     model_channels: bool = False,
     leak_weighted: bool = True,
 ) -> TrialMetrics:
-    """One pipeline pass (synthesize, precode, allocate, rates, bounds), unaveraged."""
-    tq = _trial_quantities(cfg, seed, trial, model_channels, leak_weighted)
-    snr = cfg.snr_db if snr_db is None else snr_db
-    p_total = cfg.noise_var * 10.0 ** (snr / 10.0)
-    rate, lb1, lb2, gap, gap_ub, applicable = _eval_at_power(tq, p_total, cfg.noise_var)
-    user = np.concatenate(
-        [np.arange(1, len(c.gains_db) + 1) for c in cfg.clusters]
-    )
+    """One pipeline pass (synthesize, precode, allocate, rates, bounds), unaveraged.
+
+    The one-draw case of block_metrics; an excluded draw raises its exception.
+    """
+    lay = _Layout.of(cfg)
+    try:
+        geo = _geometry(cfg, lay, seed, [trial], model_channels, leak_weighted)
+    except TrialError as exc:
+        raise exc.__cause__ from None
+    code = int(geo.excluded[0])
+    if code == _SINGULAR:
+        raise singular_gram_error(geo.gram[0])
+    if code:
+        raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
+    fields = _evaluate(geo, _power(cfg, snr_db), cfg.noise_var)
     return TrialMetrics(
-        cluster=tq.cluster_of + 1,
-        user=user,
-        position=tq.position,
-        rho=tq.rho,
-        rate_exact=rate,
-        rate_lb_thm1=lb1,
-        rate_lb_thm2=lb2,
-        rate_gap=gap,
-        gap_ub_thm3=gap_ub,
-        gap_ub_applicable=applicable,
+        cluster=lay.cluster_of + 1,
+        user=lay.user,
+        position=geo.position[0],
+        **{name: value[0] for name, value in fields.items()},
     )
 
 
 class _Accumulator:
-    """Trial-ordered mean/stderr accumulation for one (system, sweep value) cell."""
+    """Trial-ordered mean/stderr accumulation for one (system, sweep value) cell.
+
+    Blocks arrive in trial order. Each contributes its count and the per-user
+    mean and sum of squared deviations (M2) of the exact rate, merged by the
+    pairwise update of Chan, Golub and LeVeque; unlike a running sum of
+    squares it does not cancel when a rate barely varies. The other fields
+    are summed.
+    """
+
+    SUMMED = ("rate_lb_thm1", "rate_lb_thm2", "rate_gap", "rho")
 
     def __init__(self, n_users: int):
         self.n = 0
-        self.sum_rate = np.zeros(n_users)
-        self.sum_rate_sq = np.zeros(n_users)
-        self.sum_lb1 = np.zeros(n_users)
-        self.sum_lb2 = np.zeros(n_users)
-        self.sum_gap = np.zeros(n_users)
+        self.mean = np.zeros(n_users)
+        self.m2 = np.zeros(n_users)
+        self.sums: dict[str, np.ndarray] = {}
         self.sum_gap_ub = np.zeros(n_users)
         self.n_gap_ub = np.zeros(n_users, dtype=np.int64)
-        self.sum_rho = np.zeros(n_users)
 
-    def add(self, rate, lb1, lb2, gap, gap_ub, applicable, rho):
-        self.n += 1
-        self.sum_rate += rate
-        self.sum_rate_sq += rate * rate
-        self.sum_lb1 += lb1
-        self.sum_lb2 += lb2
-        self.sum_gap += gap
-        self.sum_gap_ub += np.where(applicable, gap_ub, 0.0)
-        self.n_gap_ub += applicable
-        self.sum_rho += rho
+    def add(self, fields: dict[str, np.ndarray]) -> None:
+        """Merge one block of kept draws: (T, U) arrays keyed like TrialMetrics."""
+        rate = fields["rate_exact"]
+        n_block = rate.shape[0]
+        if n_block == 0:
+            return
+        mean_block = rate.mean(axis=0)
+        m2_block = np.sum((rate - mean_block) ** 2, axis=0)
+        n = self.n + n_block
+        delta = mean_block - self.mean
+        self.mean = self.mean + delta * (n_block / n)
+        self.m2 = self.m2 + m2_block + delta**2 * (self.n * n_block / n)
+        self.n = n
+        for name in self.SUMMED:
+            if name in fields:
+                self.sums[name] = self.sums.get(name, 0.0) + fields[name].sum(axis=0)
+        if "gap_ub_thm3" in fields:
+            applicable = fields["gap_ub_applicable"]
+            self.sum_gap_ub += np.where(applicable, fields["gap_ub_thm3"], 0.0).sum(axis=0)
+            self.n_gap_ub += applicable.sum(axis=0)
+
+    def mean_of(self, name: str, u: int) -> float | None:
+        return float(self.sums[name][u] / self.n) if name in self.sums else None
 
     def stderr(self) -> np.ndarray:
         if self.n < 2:
-            return np.zeros_like(self.sum_rate)
-        var = (self.sum_rate_sq - self.sum_rate**2 / self.n) / (self.n - 1)
-        return np.sqrt(np.maximum(var, 0.0) / self.n)
+            return np.zeros_like(self.mean)
+        return np.sqrt(self.m2 / (self.n - 1) / self.n)
 
 
-def _map_trials(fn, count: int, workers: int):
-    """Yield (trial, fn(trial)) in trial order, optionally fanning out to threads."""
-    if workers <= 1 or count <= 1:
-        for t in range(count):
-            yield t, _guarded(fn, t)
+def _map_blocks(fn, count: int, workers: int):
+    """Yield fn(block) for consecutive CHUNK-trial blocks in trial order.
+
+    With workers > 1, up to `workers` blocks run at once on threads; the
+    block boundaries do not depend on the worker count.
+    """
+    blocks = [range(s, min(s + CHUNK, count)) for s in range(0, count, CHUNK)]
+    if workers <= 1 or len(blocks) <= 1:
+        yield from map(fn, blocks)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, count, CHUNK):
-            idxs = range(start, min(start + CHUNK, count))
-            futures = [pool.submit(_guarded, fn, t) for t in idxs]
-            for t, fut in zip(idxs, futures):
-                yield t, fut.result()
-
-
-def _guarded(fn, trial: int):
-    try:
-        return fn(trial)
-    except EXCLUDABLE:
-        return None
-    except Exception as exc:  # pragma: no cover - defensive
-        raise TrialError(trial, exc) from exc
+        for i in range(0, len(blocks), workers):
+            yield from pool.map(fn, blocks[i : i + workers])
 
 
 def _system_label(b: float, multi: bool) -> str:
@@ -382,6 +537,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("cluster_size sweep needs observe_cluster")
     if spec.misalign_grid is not None and len(spec.misalign_grid) == 0:
         raise ConfigError("misalign_grid must be nonempty when given")
+    if not spec.baselines.hb_exact:
+        raise ConfigError(
+            "baselines.hb_exact=false is not supported: every table reports the hybrid exact rate"
+        )
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
@@ -412,33 +571,30 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         label = _system_label(b, multi)
         for value, cfg, snrs in tasks:
             cfg_b = replace(cfg, misalign_deg=float(b))
-            user_ids = [
-                (ci + 1, ui + 1)
-                for ci, cluster in enumerate(cfg_b.clusters)
-                for ui in range(len(cluster.gains_db))
-            ]
-            n_users = len(user_ids)
+            lay = _Layout.of(cfg_b)
             deterministic = b == 0.0 and not spec.baselines.model_channels
             n_trials = 1 if deterministic else spec.trials
-            accs = {snr: _Accumulator(n_users) for snr in snrs}
+            accs = {snr: _Accumulator(len(lay.user)) for snr in snrs}
 
-            def one_trial(t: int, cfg_b=cfg_b, snrs=snrs):
-                tq = _trial_quantities(
-                    cfg_b, spec.seed, t, spec.baselines.model_channels, spec.leak_weighted
+            def one_block(trials, cfg_b=cfg_b, lay=lay):
+                return _geometry(
+                    cfg_b,
+                    lay,
+                    spec.seed,
+                    trials,
+                    spec.baselines.model_channels,
+                    spec.leak_weighted,
+                    bounds=spec.baselines.hb_lb,
                 )
-                out = {}
-                for snr in snrs:
-                    p_total = cfg_b.noise_var * 10.0 ** (snr / 10.0)
-                    out[snr] = _eval_at_power(tq, p_total, cfg_b.noise_var) + (tq.rho,)
-                return out
 
             n_excluded = 0
-            for _, result in _map_trials(one_trial, n_trials, workers):
-                if result is None:
-                    n_excluded += 1
-                    continue
-                for snr, payload in result.items():
-                    accs[snr].add(*payload)
+            for geo in _map_blocks(one_block, n_trials, workers):
+                kept = geo.excluded == 0
+                n_excluded += int(np.count_nonzero(~kept))
+                # one SNR's fields at a time: memory stays that of one block
+                for snr in snrs:
+                    fields = _evaluate(geo, _power(cfg_b, snr), cfg_b.noise_var)
+                    accs[snr].add({name: value[kept] for name, value in fields.items()})
 
             effective = n_trials - n_excluded
             if effective == 0:
@@ -453,20 +609,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
                 excluded[(label, sweep_value)] = n_excluded
                 acc = accs[snr]
                 stderr = acc.stderr()
-                for u, (ci, ui) in enumerate(user_ids):
+                for u, (ci, ui) in enumerate(zip(lay.cluster_of + 1, lay.user)):
                     n_ub = int(acc.n_gap_ub[u])
                     rows.append(
                         ResultRow(
                             system=label,
                             sweep_value=sweep_value,
-                            cluster=ci,
-                            user=ui,
-                            rate_exact=float(acc.sum_rate[u] / acc.n),
-                            rate_lb_thm1=float(acc.sum_lb1[u] / acc.n),
-                            rate_lb_thm2=float(acc.sum_lb2[u] / acc.n),
-                            rate_gap=float(acc.sum_gap[u] / acc.n),
+                            cluster=int(ci),
+                            user=int(ui),
+                            rate_exact=float(acc.mean[u]),
+                            rate_lb_thm1=acc.mean_of("rate_lb_thm1", u),
+                            rate_lb_thm2=acc.mean_of("rate_lb_thm2", u),
+                            rate_gap=acc.mean_of("rate_gap", u),
                             gap_ub_thm3=(float(acc.sum_gap_ub[u] / n_ub) if n_ub else None),
-                            rho_mean=float(acc.sum_rho[u] / acc.n),
+                            rho_mean=acc.mean_of("rho", u),
                             stderr=float(stderr[u]),
                             trials=acc.n,
                         )

@@ -3,10 +3,8 @@ import pytest
 
 from conftest import random_config
 from hbnoma.beamforming import (
-    build_combiner,
     design_precoder,
     effective_channel,
-    effective_channel_full,
     rf_subspace_modes,
     select_first_users,
 )
@@ -82,26 +80,6 @@ def test_gamma_matches_inverse_gram_diagonal():
     expect = np.sqrt(scen.array_gain / np.diag(inv).real) * betas
     assert np.allclose(pre.gamma, expect, rtol=1e-10)
     assert np.allclose(pre.inv_gram_diag, np.diag(inv).real, rtol=1e-10)
-
-
-def test_effective_channel_routes_agree():
-    scen = _scenario(n_clusters=3, misalign_deg=5.0, trial=2)
-    pre = design_precoder(scen)
-    for link in scen.links():
-        short = effective_channel(link, pre.f_rf, scen.ula_bs, scen.array_gain)
-        full = effective_channel_full(link, pre.f_rf, scen.ula_bs, scen.ula_ue)
-        assert np.allclose(short, full, atol=1e-10)
-
-
-def test_combiner_unit_gain_on_own_path():
-    scen = _scenario(n_clusters=2)
-    link = scen.clusters[0][0]
-    w = build_combiner(link, scen.ula_ue)
-    from hbnoma.channel import steering_vector
-
-    assert abs(np.vdot(w, steering_vector(link.theta_norm, scen.ula_ue))) == pytest.approx(
-        1.0, abs=1e-12
-    )
 
 
 def test_rf_subspace_modes_diagonalize():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -164,3 +165,26 @@ def test_config_rejects_misplaced_observe(tmp_path):
     doc = dict(VALID_CONFIG, observe_cluster=7)
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, doc))
+
+
+def test_run_rejects_hb_exact_false(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(VALID_CONFIG, baselines={"hb_exact": False}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "hb_exact" in capsys.readouterr().err
+
+
+def test_run_without_bounds_leaves_bound_columns_empty(tmp_path):
+    tables = {}
+    for hb_lb in (True, False):
+        cfg = write_config(tmp_path, dict(VALID_CONFIG, baselines={"hb_lb": hb_lb}))
+        out = str(tmp_path / f"lb_{hb_lb}.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        with open(out, newline="") as fh:
+            tables[hb_lb] = list(csv.DictReader(fh))
+    assert len(tables[False]) == len(tables[True]) == 2 * 4
+    for with_lb, without in zip(tables[True], tables[False]):
+        assert with_lb["rate_lb_thm1"] != ""
+        for col in ("rate_lb_thm1", "rate_lb_thm2", "gap_ub_thm3"):
+            assert without[col] == ""
+        for col in ("rate_exact", "rate_gap", "rho_mean", "stderr", "trials"):
+            assert without[col] == with_lb[col]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from hbnoma.channel import ClusterSpec, ScenarioConfig
 from hbnoma.errors import ConfigError, DegenerateScenario, UnknownPreset
 from hbnoma.montecarlo import (
+    CHUNK,
     Baselines,
     ExperimentSpec,
     preset,
     run_experiment,
     trial_metrics,
+    _Accumulator,
     validate_spec,
 )
 
@@ -192,3 +195,14 @@ def test_preset_fig3_gains():
     assert len(spec.scenario.clusters) == 1
     assert spec.scenario.clusters[0].gains_db == (0.0, -2.0)
     assert preset("fig3b").sweep_name == "n_bs"
+
+
+def test_accumulator_stderr_survives_nearly_constant_rates():
+    # a running sum of squares cancels to noise here: 1e-18 variance under 1e2 squares
+    rates = 10.0 + np.random.default_rng(0).uniform(-1e-9, 1e-9, size=(1000, 1))
+    acc = _Accumulator(1)
+    for start in range(0, len(rates), CHUNK):
+        acc.add({"rate_exact": rates[start : start + CHUNK]})
+    want = np.std(rates, ddof=1) / math.sqrt(len(rates))
+    assert acc.stderr()[0] == pytest.approx(want, rel=1e-6)
+    assert acc.mean[0] == pytest.approx(np.mean(rates), rel=1e-15)
