@@ -56,6 +56,7 @@ from .montecarlo import (
     Baselines,
     BlockMetrics,
     ExperimentSpec,
+    ResultCell,
     ResultRow,
     ResultTable,
     TrialMetrics,

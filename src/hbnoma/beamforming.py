@@ -79,17 +79,17 @@ def effective_channel(link: UserLink, f_rf: np.ndarray, ula_bs: UlaConfig, array
     return h_dag.conj()
 
 
-def build_zf_baseband(eff_first: np.ndarray, gram: np.ndarray, betas_first, array_gain: float):
+def build_zf_baseband(eff_first: np.ndarray, inv_gram_diag, betas_first, array_gain: float):
     """Zero-forcing digital precoder over the strongest users' effective channels.
 
     eff_first holds the per-cluster effective channels as columns (N x N, column
-    n is h_{n,1}). Returns (F_BB, gamma) with F_BB = Hbar^H (Hbar Hbar^H)^{-1} G,
-    Hbar the matrix whose rows are h_{n,1}^H, and G_nn chosen so each composite
-    column F_RF F_BB e_n has exactly unit power.
+    n is h_{n,1}); inv_gram_diag is the diagonal of F^{-1}. Returns (F_BB, gamma)
+    with F_BB = Hbar^H (Hbar Hbar^H)^{-1} G, Hbar the matrix whose rows are
+    h_{n,1}^H, and G_nn chosen so each composite column F_RF F_BB e_n has
+    exactly unit power.
     """
     h_bar = eff_first.conj().T  # rows are h^H
     a = h_bar @ h_bar.conj().T
-    inv_gram_diag = np.diag(hermitian_inverse(gram)).real
     gamma = np.sqrt(array_gain / inv_gram_diag) * np.abs(np.asarray(betas_first))
     f_bb = h_bar.conj().T @ hermitian_solve(a, np.diag(gamma.astype(np.complex128)))
     return f_bb, gamma
@@ -114,14 +114,15 @@ def design_precoder(scenario: Scenario) -> HybridPrecoder:
     betas_first = np.array(
         [cluster[first].beta for cluster, first in zip(scenario.clusters, first_users)]
     )
-    f_bb, gamma = build_zf_baseband(eff_first, gram, betas_first, array_gain)
+    inv_gram_diag = np.diag(hermitian_inverse(gram)).real
+    f_bb, gamma = build_zf_baseband(eff_first, inv_gram_diag, betas_first, array_gain)
     return HybridPrecoder(
         f_rf=f_rf,
         f_bb=f_bb,
         gamma=gamma,
         gram=gram,
         gram_eigs=eigs,
-        inv_gram_diag=np.diag(hermitian_inverse(gram)).real,
+        inv_gram_diag=inv_gram_diag,
         first_users=first_users,
     )
 

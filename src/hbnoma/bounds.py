@@ -23,16 +23,6 @@ LEAK_NORM_FLOOR = 1e-12  # below this the leakage combination has no direction
 
 
 @dataclass(frozen=True)
-class MisalignmentModel:
-    """Per-user misalignment description used by the second lower bound."""
-
-    rho: float
-    leak_dir: np.ndarray
-    k_sum_first: float
-    k_sum_user: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Per-user bound values with the intermediate interference terms."""
 

@@ -199,18 +199,6 @@ def gain_db_to_beta(gain_db: float) -> complex:
     return complex(10.0 ** (gain_db / 20.0), 0.0)
 
 
-def pathloss_beta(distance: float, exponent: float, rng: np.random.Generator) -> complex:
-    """Gain from the distance/pathloss form, |beta| = d^(-nu/2), uniform phase.
-
-    Helper for custom scenarios; the figure presets configure gains in dB
-    directly.
-    """
-    if not distance > 0:
-        raise ConfigError(f"distance must be positive, got {distance}")
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return distance ** (-exponent / 2.0) * complex(math.cos(phase), math.sin(phase))
-
-
 def validate_config(cfg: ScenarioConfig) -> None:
     n = len(cfg.clusters)
     if n == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -21,6 +22,7 @@ from . import __version__
 from .channel import ClusterSpec, ScenarioConfig, validate_config
 from .errors import ConfigError, NumericalError
 from .montecarlo import (
+    VALUE_COLUMNS,
     Baselines,
     ExperimentSpec,
     ResultTable,
@@ -29,21 +31,7 @@ from .montecarlo import (
     validate_spec,
 )
 
-CSV_COLUMNS = (
-    "scenario_id",
-    "sweep_name",
-    "sweep_value",
-    "cluster",
-    "user",
-    "rate_exact",
-    "rate_lb_thm1",
-    "rate_lb_thm2",
-    "rate_gap",
-    "gap_ub_thm3",
-    "rho_mean",
-    "stderr",
-    "trials",
-)
+CSV_COLUMNS = ("scenario_id", "sweep_name", "sweep_value", "cluster", "user", *VALUE_COLUMNS, "trials")
 
 FIG5_COLUMNS = ("snr_db", "system", "sum_rate_bps_hz")
 
@@ -227,39 +215,42 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _csv_fields(*fields: str) -> str:
+    """fields as one CSV line writes them (quoted where needed), without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
 def write_table_csv(table: ResultTable, path: str) -> None:
-    sid = table.spec.scenario_id
+    """One line per (cell, user), formatted column by column: repr per value, "" for NaN."""
+    spec = table.spec
+    lines = [_csv_fields(*CSV_COLUMNS) + "\n"]
+    for cell in table.cells:
+        label = spec.scenario_id if cell.system == "hb" else f"{spec.scenario_id}:{cell.system}"
+        start = _csv_fields(label, spec.sweep_name, _fmt(cell.sweep_value)) + ","
+        end = f",{cell.trials}\n"
+        columns = [map(str, cell.cluster.tolist()), map(str, cell.user.tolist())] + [
+            ["" if v != v else repr(v) for v in getattr(cell, name).tolist()]
+            for name in VALUE_COLUMNS
+        ]
+        lines += [start + ",".join(fields) + end for fields in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in table.rows:
-            writer.writerow(
-                (
-                    sid if row.system == "hb" else f"{sid}:{row.system}",
-                    table.spec.sweep_name,
-                    _fmt(row.sweep_value),
-                    str(row.cluster),
-                    str(row.user),
-                    _fmt(row.rate_exact),
-                    _fmt(row.rate_lb_thm1),
-                    _fmt(row.rate_lb_thm2),
-                    _fmt(row.rate_gap),
-                    _fmt(row.gap_ub_thm3),
-                    _fmt(row.rho_mean),
-                    _fmt(row.stderr),
-                    str(row.trials),
-                )
-            )
+        fh.write("".join(lines))
 
 
 def sum_rates(table: ResultTable) -> dict[tuple[str, float], float]:
     """Per (system, sweep value) sum rate; the OMA reference is frame averaged."""
     totals: dict[tuple[str, float], float] = {}
     counts: dict[tuple[str, float], int] = {}
-    for row in table.rows:
-        key = (row.system, row.sweep_value)
-        totals[key] = totals.get(key, 0.0) + row.rate_exact
-        counts[key] = counts.get(key, 0) + 1
+    for cell in table.cells:
+        key = (cell.system, cell.sweep_value)
+        total = totals.get(key, 0.0)
+        # one add at a time in row order: a pairwise np.sum would round differently
+        for rate in cell.rate_exact.tolist():
+            total += rate
+        totals[key] = total
+        counts[key] = counts.get(key, 0) + len(cell.rate_exact)
     return {
         key: total / counts[key] if key[0] == "oma" else total
         for key, total in totals.items()
@@ -314,7 +305,7 @@ def _cmd_run(args) -> int:
     table = run_experiment(spec, workers=args.workers)
     write_table_csv(table, args.out)
     write_manifest(table, args.out, "run", args.workers, time.perf_counter() - t0)
-    print(f"wrote {len(table.rows)} rows to {args.out}")
+    print(f"wrote {sum(len(cell.user) for cell in table.cells)} rows to {args.out}")
     return 0
 
 

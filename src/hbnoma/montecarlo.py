@@ -94,27 +94,65 @@ class ResultRow:
     trials: int
 
 
+# the per-user value columns of a result row; a cell holds NaN where a row holds None
+_BOUND_COLUMNS = ("rate_lb_thm1", "rate_lb_thm2", "rate_gap", "gap_ub_thm3", "rho_mean")
+VALUE_COLUMNS = ("rate_exact", *_BOUND_COLUMNS, "stderr")
+
+
+@dataclass(frozen=True, eq=False)
+class ResultCell:
+    """Per-user columns of one (system, sweep value) cell's rows; NaN where a row holds None."""
+
+    system: str
+    sweep_value: float
+    cluster: np.ndarray
+    user: np.ndarray
+    rate_exact: np.ndarray
+    rate_lb_thm1: np.ndarray
+    rate_lb_thm2: np.ndarray
+    rate_gap: np.ndarray
+    gap_ub_thm3: np.ndarray
+    rho_mean: np.ndarray
+    stderr: np.ndarray
+    trials: int
+
+    def rows(self) -> list[ResultRow]:
+        """The cell's rows in order, None where a column holds NaN."""
+        columns = [
+            [None if v != v else v for v in getattr(self, name).tolist()]
+            for name in VALUE_COLUMNS
+        ]
+        return [
+            ResultRow(self.system, self.sweep_value, ci, ui, *values, self.trials)
+            for ci, ui, *values in zip(self.cluster.tolist(), self.user.tolist(), *columns)
+        ]
+
+
 @dataclass
 class ResultTable:
+    """Cells in output order; rows and rows_for are a per-row view of them."""
+
     spec: ExperimentSpec
-    rows: list[ResultRow]
+    cells: list[ResultCell]
     cell_trials: dict[tuple[str, float], int]
     excluded: dict[tuple[str, float], int]
 
+    @property
+    def rows(self) -> list[ResultRow]:
+        return self.rows_for()
+
     def rows_for(self, system: str | None = None, sweep_value: float | None = None):
-        out = self.rows
-        if system is not None:
-            out = [r for r in out if r.system == system]
-        if sweep_value is not None:
-            out = [r for r in out if r.sweep_value == sweep_value]
-        return out
+        return [
+            row
+            for cell in self.cells
+            if (system is None or cell.system == system)
+            and (sweep_value is None or cell.sweep_value == sweep_value)
+            for row in cell.rows()
+        ]
 
     @property
     def systems(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.system, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(cell.system for cell in self.cells))
 
 
 # Exclusion codes of a draw: 0 keeps it; otherwise the exception the draw
@@ -488,8 +526,23 @@ class _Accumulator:
             self.sum_gap_ub += np.where(applicable, fields["gap_ub_thm3"], 0.0).sum(axis=0)
             self.n_gap_ub += applicable.sum(axis=0)
 
-    def mean_of(self, name: str, u: int) -> float | None:
-        return float(self.sums[name][u] / self.n) if name in self.sums else None
+    def cell(self, system: str, sweep_value: float, lay: _Layout) -> ResultCell:
+        """The cell's per-user means, NaN where a field is absent, and the rate's stderr."""
+        columns = dict.fromkeys(_BOUND_COLUMNS, np.full_like(self.mean, np.nan))
+        for name, total in self.sums.items():
+            columns["rho_mean" if name == "rho" else name] = total / self.n
+        with np.errstate(invalid="ignore"):  # 0/0: the gap bound never applied
+            columns["gap_ub_thm3"] = self.sum_gap_ub / self.n_gap_ub
+        return ResultCell(
+            system,
+            sweep_value,
+            lay.cluster_of + 1,
+            lay.user,
+            rate_exact=self.mean,
+            stderr=self.stderr(),
+            trials=self.n,
+            **columns,
+        )
 
     def stderr(self) -> np.ndarray:
         if self.n < 2:
@@ -563,7 +616,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             for v in spec.sweep_values
         ]
 
-    rows: list[ResultRow] = []
+    cells: list[ResultCell] = []
     cell_trials: dict[tuple[str, float], int] = {}
     excluded: dict[tuple[str, float], int] = {}
 
@@ -607,35 +660,16 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
                 sweep_value = snr if value is None else value
                 cell_trials[(label, sweep_value)] = effective
                 excluded[(label, sweep_value)] = n_excluded
-                acc = accs[snr]
-                stderr = acc.stderr()
-                for u, (ci, ui) in enumerate(zip(lay.cluster_of + 1, lay.user)):
-                    n_ub = int(acc.n_gap_ub[u])
-                    rows.append(
-                        ResultRow(
-                            system=label,
-                            sweep_value=sweep_value,
-                            cluster=int(ci),
-                            user=int(ui),
-                            rate_exact=float(acc.mean[u]),
-                            rate_lb_thm1=acc.mean_of("rate_lb_thm1", u),
-                            rate_lb_thm2=acc.mean_of("rate_lb_thm2", u),
-                            rate_gap=acc.mean_of("rate_gap", u),
-                            gap_ub_thm3=(float(acc.sum_gap_ub[u] / n_ub) if n_ub else None),
-                            rho_mean=acc.mean_of("rho", u),
-                            stderr=float(stderr[u]),
-                            trials=acc.n,
-                        )
-                    )
+                cells.append(accs[snr].cell(label, sweep_value, lay))
 
     if spec.baselines.fd or spec.baselines.oma:
-        rows.extend(_baseline_rows(spec, tasks, cell_trials))
-    return ResultTable(spec=spec, rows=rows, cell_trials=cell_trials, excluded=excluded)
+        cells.extend(_baseline_cells(spec, tasks, cell_trials))
+    return ResultTable(spec=spec, cells=cells, cell_trials=cell_trials, excluded=excluded)
 
 
-def _baseline_rows(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultRow]:
-    """Deterministic rows for the fully-digital and frame-averaged OMA references."""
-    rows: list[ResultRow] = []
+def _baseline_cells(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultCell]:
+    """Deterministic cells of the fully-digital and frame-averaged OMA references."""
+    cells: list[ResultCell] = []
     for system in ("fd", "oma"):
         if not getattr(spec.baselines, system):
             continue
@@ -644,10 +678,9 @@ def _baseline_rows(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultRow]:
             for snr in snrs:
                 sweep_value = snr if value is None else value
                 cell_trials[(system, sweep_value)] = 1
-                p_total = cfg.noise_var * 10.0 ** (snr / 10.0)
-                scen_p = replace(scen, total_power=p_total)
+                p_total = _power(cfg, snr)
                 if system == "fd":
-                    rates = fully_digital_rates(scen_p)
+                    rates = fully_digital_rates(replace(scen, total_power=p_total))
                 else:
                     rates = {
                         (link.cluster, link.user): oma_rate(
@@ -655,24 +688,19 @@ def _baseline_rows(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultRow]:
                         )
                         for link in scen.links()
                     }
-                for (ci, ui), rate in sorted(rates.items()):
-                    rows.append(
-                        ResultRow(
-                            system=system,
-                            sweep_value=sweep_value,
-                            cluster=ci,
-                            user=ui,
-                            rate_exact=float(rate),
-                            rate_lb_thm1=None,
-                            rate_lb_thm2=None,
-                            rate_gap=None,
-                            gap_ub_thm3=None,
-                            rho_mean=None,
-                            stderr=0.0,
-                            trials=1,
-                        )
+                labels, rate = zip(*sorted(rates.items()))
+                cells.append(
+                    ResultCell(
+                        system,
+                        sweep_value,
+                        *np.array(labels).T,  # cluster, user
+                        rate_exact=np.array(rate),
+                        stderr=np.zeros(len(rate)),
+                        trials=1,
+                        **dict.fromkeys(_BOUND_COLUMNS, np.full(len(rate), np.nan)),
                     )
-    return rows
+                )
+    return cells
 
 
 # ---------------------------------------------------------------------------
