@@ -1,7 +1,9 @@
-"""Array responses and single-path mmWave channel synthesis.
+"""Scenario configuration, the array-response kernel and the angle draw.
 
-Angle conventions: configurations use physical degrees; the normalized angle
-is 2 * (D/lambda) * sin(physical), so with the default half-wavelength spacing
+The BS array is a uniform linear array whose steering vector a(phi) has
+entries exp(-j pi k phi) / sqrt(N_BS), k = 0..N_BS-1. Angle conventions:
+configurations use physical degrees; the normalized angle is
+2 * (D/lambda) * sin(physical), so with the default half-wavelength spacing
 it lives in [-1, 1]. Misalignment offsets are drawn in physical degrees and
 added before normalization. Channel gains are configured in dB with
 |beta|^2 = 10^(dB/10) and phase 0.
@@ -18,75 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRange
+from .errors import ConfigError
 
-SIN_EPS = 1e-9  # below this |sin(pi*delta/2)| the Fejer ratio is evaluated directly
 ANGLE_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class UlaConfig:
-    """Uniform linear array: element count and spacing in wavelengths."""
-
-    n_elements: int
-    spacing_over_wavelength: float = 0.5
-
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ConfigError(f"ULA needs at least one element, got {self.n_elements}")
-        if not self.spacing_over_wavelength > 0:
-            raise ConfigError(f"element spacing must be positive, got {self.spacing_over_wavelength}")
-
-
-@dataclass(frozen=True)
-class UserLink:
-    """One user's physical link parameters.
-
-    cluster and user are 1-based indices; phi_norm is the normalized
-    departure angle actually used by the steering vectors.
-    """
-
-    cluster: int
-    user: int
-    beta: complex
-    aod_deg: float
-    phi_norm: float
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A fully realized draw: arrays, per-user links, power budget."""
-
-    ula_bs: UlaConfig
-    ula_ue: UlaConfig
-    clusters: tuple[tuple[UserLink, ...], ...]
-    n_rf: int
-    total_power: float
-    noise_var: float = 1.0
-
-    def __post_init__(self):
-        n = len(self.clusters)
-        if n == 0:
-            raise ConfigError("scenario needs at least one cluster")
-        if any(len(c) == 0 for c in self.clusters):
-            raise ConfigError("every cluster must contain at least one user")
-        if n > self.n_rf:
-            raise ConfigError(f"{n} clusters exceed {self.n_rf} RF chains")
-        if not self.total_power > 0:
-            raise ConfigError(f"total power must be positive, got {self.total_power}")
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
-    @property
-    def array_gain(self) -> float:
-        """N_BS * N_U, the combined broadside array gain factor."""
-        return float(self.ula_bs.n_elements * self.ula_ue.n_elements)
-
-    def links(self):
-        for cluster in self.clusters:
-            yield from cluster
 
 
 @dataclass(frozen=True)
@@ -111,54 +47,8 @@ class ScenarioConfig:
     noise_var: float = 1.0
 
     @property
-    def total_power(self) -> float:
-        return self.noise_var * 10.0 ** (self.snr_db / 10.0)
-
-    @property
     def n_rf_effective(self) -> int:
         return self.n_rf if self.n_rf is not None else len(self.clusters)
-
-
-def normalized_angle(angle_deg: float, spacing_over_wavelength: float = 0.5) -> float:
-    return 2.0 * spacing_over_wavelength * math.sin(math.radians(angle_deg))
-
-
-def steering_vector(phi_norm: float, ula: UlaConfig) -> np.ndarray:
-    """Unit-norm array response: entry k is exp(-j pi k phi) / sqrt(N)."""
-    if abs(phi_norm) > 1.0 + ANGLE_SLACK:
-        raise OutOfRange(f"normalized angle {phi_norm} outside [-1, 1]")
-    n = ula.n_elements
-    phases = -1j * math.pi * phi_norm * np.arange(n)
-    return np.exp(phases) / math.sqrt(n)
-
-
-def beam_collinearity(phi_a: float, phi_b: float, ula: UlaConfig) -> float:
-    """|a^H(phi_a) a(phi_b)|^2 as the order-N Fejer kernel of delta = phi_b - phi_a.
-
-    Near delta = 0 the ratio form is ill-conditioned, so the inner product is
-    evaluated directly. The result lies in [0, 1].
-    """
-    for phi in (phi_a, phi_b):
-        if abs(phi) > 1.0 + ANGLE_SLACK:
-            raise OutOfRange(f"normalized angle {phi} outside [-1, 1]")
-    n = ula.n_elements
-    delta = phi_b - phi_a
-    half = math.sin(math.pi * delta / 2.0)
-    if abs(half) < SIN_EPS:
-        inner = steering_vector(phi_a, ula).conj() @ steering_vector(phi_b, ula)
-        return min(float(abs(inner) ** 2), 1.0)
-    num = math.sin(n * math.pi * delta / 2.0)
-    value = (num * num) / (n * n * half * half)
-    return min(max(value, 0.0), 1.0)
-
-
-def collinearity_sum(phi: float, anchor_phis, ula: UlaConfig) -> float:
-    """Sum of Fejer-kernel collinearities of phi against a set of beam angles.
-
-    This is the closed form of the squared effective-channel norm divided by
-    the array gain and |beta|^2.
-    """
-    return float(sum(beam_collinearity(anchor, phi, ula) for anchor in anchor_phis))
 
 
 def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
@@ -169,7 +59,6 @@ def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
     delta is first reduced exactly to r in [-1, 1]; then
     a^H(phi) a(phi + delta) = exp(-j pi (n-1) r / 2) sin(n pi r / 2) / (n sin(pi r / 2)),
     which stays accurate near r = 0, including the grating lobes at delta = +-2.
-    Its squared magnitude is beam_collinearity.
     """
     # in-place steps keep a large block to a few arrays of its size
     half = np.round(0.5 * np.atleast_1d(delta))
@@ -200,6 +89,7 @@ def gain_db_to_beta(gain_db: float) -> complex:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError unless draws can be made from the configuration."""
     n = len(cfg.clusters)
     if n == 0:
         raise ConfigError("configuration has no clusters")
@@ -207,6 +97,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"{n} clusters exceed {cfg.n_rf_effective} RF chains")
     if cfg.n_bs < 1 or cfg.n_ue < 1:
         raise ConfigError("antenna counts must be at least 1")
+    if not cfg.spacing_over_wavelength > 0:
+        raise ConfigError(f"element spacing must be positive, got {cfg.spacing_over_wavelength}")
     if cfg.misalign_deg < 0:
         raise ConfigError(f"misalignment spread must be >= 0, got {cfg.misalign_deg}")
     if not cfg.noise_var > 0:
@@ -278,40 +170,3 @@ def user_angles(cfg: ScenarioConfig, seed: int, trials) -> tuple[np.ndarray, np.
         aod = np.where(anchor, base, base + (-b + 2.0 * b * u))
     phi = 2.0 * cfg.spacing_over_wavelength * np.sin(np.radians(aod))
     return aod, phi
-
-
-def synthesize_scenario(cfg: ScenarioConfig, seed: int, trial: int = 0) -> Scenario:
-    """Draw one scenario realization.
-
-    The angles are those user_angles draws for this trial, so a scenario
-    and the batched engine see identical AoDs; the result is bit-reproducible
-    for a fixed configuration regardless of execution order.
-    """
-    validate_config(cfg)
-    ula_bs = UlaConfig(cfg.n_bs, cfg.spacing_over_wavelength)
-    ula_ue = UlaConfig(cfg.n_ue, cfg.spacing_over_wavelength)
-    aod, phi = (a[0].tolist() for a in user_angles(cfg, seed, [trial]))
-    clusters = []
-    flat = 0
-    for ci, cluster in enumerate(cfg.clusters):
-        users = []
-        for ui, gain_db in enumerate(cluster.gains_db):
-            users.append(
-                UserLink(
-                    cluster=ci + 1,
-                    user=ui + 1,
-                    beta=gain_db_to_beta(gain_db),
-                    aod_deg=aod[flat],
-                    phi_norm=phi[flat],
-                )
-            )
-            flat += 1
-        clusters.append(tuple(users))
-    return Scenario(
-        ula_bs=ula_bs,
-        ula_ue=ula_ue,
-        clusters=tuple(clusters),
-        n_rf=cfg.n_rf_effective,
-        total_power=cfg.total_power,
-        noise_var=cfg.noise_var,
-    )

@@ -22,24 +22,12 @@ class NumericalError(HbnomaError):
     """Base class for numerical failures."""
 
 
-class NotHermitian(NumericalError):
-    """Matrix expected to be square Hermitian is not."""
-
-
-class NoConvergence(NumericalError):
-    """Iterative routine exceeded its iteration cap."""
-
-
 class SingularMatrix(NumericalError):
-    """A pivot fell below threshold; typically coincident cluster AoDs."""
+    """Analog beams too close to zero-force (Gram condition above the cap); e.g. equal AoDs."""
 
 
 class OutOfRange(NumericalError):
     """Normalized angle outside [-1, 1]."""
-
-
-class ZeroVector(NumericalError):
-    """A vector that must be normalized has (near-)zero norm."""
 
 
 class DegenerateScenario(NumericalError):

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamforming import CONDITION_CAP, singular_gram_error
-from .bounds import LEAK_NORM_FLOOR
 from .channel import (
     ANGLE_SLACK,
     ClusterSpec,
@@ -26,7 +24,6 @@ from .channel import (
     dirichlet_kernel,
     first_user_index,
     gain_db_to_beta,
-    synthesize_scenario,
     user_angles,
     validate_config,
 )
@@ -39,10 +36,11 @@ from .errors import (
     TrialError,
     UnknownPreset,
 )
-from .noma import fully_digital_rates, oma_rate
 
 LOG2 = math.log(2.0)
 CHUNK = 64
+CONDITION_CAP = 1e10  # a Gram matrix with a larger condition number is singular
+LEAK_NORM_FLOOR = 1e-12  # below this the leakage combination has no direction
 SWEEP_NAMES = ("snr_db", "n_bs", "cluster_size")
 
 
@@ -174,6 +172,7 @@ class _Layout:
     anchors: np.ndarray  # (N,) flat index of each cluster's strongest user
     starts: np.ndarray  # (N,) flat index of each cluster's first user
     sizes: np.ndarray  # (N,) users per cluster
+    beta_sq: np.ndarray  # (U,) |beta|^2
     c_beta_sq: np.ndarray  # (U,) N_BS N_U |beta|^2
 
     @classmethod
@@ -183,16 +182,17 @@ class _Layout:
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         cluster_of = np.repeat(np.arange(len(sizes)), sizes)
         user = np.arange(len(cluster_of)) - starts[cluster_of] + 1
-        c = float(cfg.n_bs * cfg.n_ue)
+        beta_sq = np.array(
+            [abs(gain_db_to_beta(g)) ** 2 for cl in cfg.clusters for g in cl.gains_db]
+        )
         return cls(
             cluster_of=cluster_of,
             user=user,
             anchors=starts + [first_user_index(cl.gains_db) for cl in cfg.clusters],
             starts=starts,
             sizes=sizes,
-            c_beta_sq=np.array(
-                [c * abs(gain_db_to_beta(g)) ** 2 for cl in cfg.clusters for g in cl.gains_db]
-            ),
+            beta_sq=beta_sq,
+            c_beta_sq=float(cfg.n_bs * cfg.n_ue) * beta_sq,
         )
 
 
@@ -473,7 +473,7 @@ def trial_metrics(
         raise exc.__cause__ from None
     code = int(geo.excluded[0])
     if code == _SINGULAR:
-        raise singular_gram_error(geo.gram[0])
+        raise _singular_gram_error(geo.gram[0])
     if code:
         raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
     fields = _evaluate(geo, _power(cfg, snr_db), cfg.noise_var)
@@ -482,6 +482,20 @@ def trial_metrics(
         user=lay.user,
         position=geo.position[0],
         **{name: value[0] for name, value in fields.items()},
+    )
+
+
+def _singular_gram_error(gram: np.ndarray) -> SingularMatrix:
+    """The error for a Gram matrix over the condition cap, naming its most collinear pair."""
+    n = gram.shape[0]
+    pair = (1, 1)
+    if n > 1:
+        off = np.abs(gram - np.diag(np.diag(gram)))
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        pair = (min(i, j) + 1, max(i, j) + 1)
+    return SingularMatrix(
+        f"analog beams of clusters {pair[0]} and {pair[1]} are nearly parallel "
+        f"(Gram condition above {CONDITION_CAP:.0e})"
     )
 
 
@@ -569,13 +583,17 @@ def _system_label(b: float, multi: bool) -> str:
     return f"b{b:g}" if multi else "hb"
 
 
+def _gain_ramp(size: int) -> tuple[float, ...]:
+    """Gains 0, -1, ..., -(size - 1) dB."""
+    return tuple(float(-k) for k in range(size))
+
+
 def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> ScenarioConfig:
     idx = cluster_1based - 1
     if not 0 <= idx < len(cfg.clusters):
         raise ConfigError(f"observed cluster {cluster_1based} out of range")
-    gains = tuple(float(-k) for k in range(size))
     clusters = list(cfg.clusters)
-    clusters[idx] = ClusterSpec(aod_deg=clusters[idx].aod_deg, gains_db=gains)
+    clusters[idx] = ClusterSpec(aod_deg=clusters[idx].aod_deg, gains_db=_gain_ramp(size))
     return replace(cfg, clusters=tuple(clusters))
 
 
@@ -588,8 +606,18 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
     if spec.sweep_name == "cluster_size" and spec.observe_cluster is None:
         raise ConfigError("cluster_size sweep needs observe_cluster")
-    if spec.misalign_grid is not None and len(spec.misalign_grid) == 0:
-        raise ConfigError("misalign_grid must be nonempty when given")
+    if len(set(spec.sweep_values)) < len(spec.sweep_values):
+        raise ConfigError(f"sweep values repeat: {spec.sweep_values}")
+    if spec.sweep_name != "snr_db" and not all(
+        v.is_integer() and v >= 1 for v in spec.sweep_values
+    ):
+        raise ConfigError(f"{spec.sweep_name} sweep values must be integers >= 1")
+    if spec.misalign_grid is not None:
+        if len(spec.misalign_grid) == 0:
+            raise ConfigError("misalign_grid must be nonempty when given")
+        labels = [_system_label(b, True) for b in spec.misalign_grid]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"misalign_grid values share a system label: {labels}")
     if not spec.baselines.hb_exact:
         raise ConfigError(
             "baselines.hb_exact=false is not supported: every table reports the hybrid exact rate"
@@ -668,33 +696,51 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
 
 
 def _baseline_cells(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultCell]:
-    """Deterministic cells of the fully-digital and frame-averaged OMA references."""
+    """Deterministic cells of the fully-digital and frame-averaged OMA references.
+
+    Neither depends on the angles. Fully digital: exact zero-forcing with
+    unit-power columns leaves each user the SINR
+    P_m c|beta|^2 / (sum over users decoded before it of P_k c|beta|^2 + sigma^2),
+    decoding strongest c|beta|^2 first, with the cluster powers split in
+    proportion to the summed c|beta|^2 and equally inside each cluster. OMA:
+    each user alone at full power on its own beam, SINR P c |beta|^2 / sigma^2;
+    the frame average divides the rates by the user count later.
+    """
     cells: list[ResultCell] = []
     for system in ("fd", "oma"):
         if not getattr(spec.baselines, system):
             continue
         for value, cfg, snrs in tasks:
-            scen = synthesize_scenario(replace(cfg, misalign_deg=0.0), spec.seed, 0)
+            lay = _Layout.of(cfg)
+            norms = [lay.c_beta_sq[s : s + m] for s, m in zip(lay.starts, lay.sizes)]
+            sums = np.array([float(np.sum(cluster)) for cluster in norms])
             for snr in snrs:
                 sweep_value = snr if value is None else value
                 cell_trials[(system, sweep_value)] = 1
                 p_total = _power(cfg, snr)
                 if system == "fd":
-                    rates = fully_digital_rates(replace(scen, total_power=p_total))
+                    sinr = [0.0] * len(lay.user)
+                    cluster_power = p_total * sums / float(np.sum(sums))
+                    for start, cluster, p_n in zip(lay.starts, norms, cluster_power):
+                        p = p_n / len(cluster)
+                        earlier = 0.0  # power of the users decoded so far, summed in order
+                        for idx in np.argsort(-cluster, kind="stable"):
+                            gain = cluster[idx]
+                            sinr[start + idx] = p * gain / (earlier * gain + cfg.noise_var)
+                            earlier += p
                 else:
-                    rates = {
-                        (link.cluster, link.user): oma_rate(
-                            link.beta, p_total, cfg.noise_var, scen.array_gain
-                        )
-                        for link in scen.links()
-                    }
-                labels, rate = zip(*sorted(rates.items()))
+                    # (P c) |beta|^2, not P (c |beta|^2): the two differ in the
+                    # last bit unless c is a power of two
+                    sinr = (p_total * float(cfg.n_bs * cfg.n_ue)) * lay.beta_sq / cfg.noise_var
+                # scalar log1p: numpy's differs in the last bit for some values
+                rate = np.array([math.log1p(x) / LOG2 for x in sinr])
                 cells.append(
                     ResultCell(
                         system,
                         sweep_value,
-                        *np.array(labels).T,  # cluster, user
-                        rate_exact=np.array(rate),
+                        lay.cluster_of + 1,
+                        lay.user,
+                        rate_exact=rate,
                         stderr=np.zeros(len(rate)),
                         trials=1,
                         **dict.fromkeys(_BOUND_COLUMNS, np.full(len(rate), np.nan)),
@@ -710,10 +756,6 @@ def _baseline_cells(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultCell
 SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 FIG4_AODS = (10.0, 30.0, 50.0, 65.0, 80.0)
 FIG4_OBSERVED = 3
-
-
-def _gain_ramp(size: int) -> tuple[float, ...]:
-    return tuple(float(-k) for k in range(size))
 
 
 def _fig3_config(**overrides) -> ScenarioConfig:

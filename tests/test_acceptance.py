@@ -15,27 +15,23 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from hbnoma import (
+from hbnoma import block_metrics, preset, run_experiment, trial_metrics
+from hbnoma.cli import sum_rates, write_table_csv
+from hbnoma.errors import DegenerateSubspace
+from hbnoma.montecarlo import CHUNK
+from scalar_oracle import (
     allocate_power,
-    block_metrics,
     collinearity_sum,
     design_precoder,
     effective_channel,
-    hermitian_eig,
     kappa_max_S,
     leakage_direction,
     model_effective_channel,
     order_users_by_effective,
-    preset,
     rate_from_terms,
-    run_experiment,
     synthesize_scenario,
     theorem2_lower_bound,
-    trial_metrics,
 )
-from hbnoma.cli import sum_rates, write_table_csv
-from hbnoma.errors import DegenerateSubspace
-from hbnoma.montecarlo import CHUNK
 
 
 def _check(num: int, label: str, ok: bool, detail: str) -> None:
@@ -47,9 +43,7 @@ def _check(num: int, label: str, ok: bool, detail: str) -> None:
 def _first_effective(scen, pre):
     """Anchor effective channels, one row per cluster."""
     rows = [
-        effective_channel(
-            scen.clusters[n][pre.first_users[n]], pre.f_rf, scen.ula_bs, scen.array_gain
-        )
+        effective_channel(scen.clusters[n][pre.first_users[n]], pre.f_rf, scen.array_gain)
         for n in range(scen.n_clusters)
     ]
     return np.stack(rows)
@@ -82,7 +76,7 @@ def fig4a_weak_user():
     cluster, per SNR of the fig4a sweep, over 10^4 draws.
 
     The weak user is the one SIC decodes last: decoding goes strongest
-    first by effective-channel norm (`noma.py`), so under misalignment it is
+    first by effective-channel norm, so under misalignment it is
     not always the user with the smallest configured gain. Result tables key
     rows by configured index, so this evaluates the run's draws with
     `block_metrics` instead: the same seed and trials, every SNR, and the
@@ -115,7 +109,7 @@ def weak_user_series():
     """Per-trial rates of the user decoded second (SIC position 2) in the
     observed cluster at 15 dB SNR.
 
-    Decode positions follow `noma.py`: strongest effective-channel norm
+    Decode positions go by effective-channel norm, strongest
     first, and the user at position p keeps the intra-cluster interference
     of the p-1 users decoded before it; the Thm 2 and Thm 3 bounds take
     their intra term from that position too. Under misalignment the order
@@ -262,7 +256,7 @@ def test_criterion_06_misaligned_bound_soundness_and_tightness(fig4a_weak_user):
         scenario_idx += 1
         pre = design_precoder(scen)
         eff = [
-            [effective_channel(l, pre.f_rf, scen.ula_bs, scen.array_gain) for l in cluster]
+            [effective_channel(l, pre.f_rf, scen.array_gain) for l in cluster]
             for cluster in scen.clusters
         ]
         norms = [np.array([float(np.linalg.norm(h)) ** 2 for h in c]) for c in eff]
@@ -286,18 +280,18 @@ def test_criterion_06_misaligned_bound_soundness_and_tightness(fig4a_weak_user):
             h1 = eff[n][pre.first_users[n]]
             try:
                 g_hat = leakage_direction(
-                    pre.f_rf, first_links, alloc.cluster_power, n, scen.array_gain, scen.ula_bs
+                    pre.f_rf, first_links, alloc.cluster_power, n, scen.array_gain
                 )
             except DegenerateSubspace:
                 skipped += 1
                 continue
             c_beta_sq = scen.array_gain * abs(link.beta) ** 2
-            k_user = collinearity_sum(link.phi_norm, anchor_phis, scen.ula_bs)
-            k_first = collinearity_sum(anchor_phis[n], anchor_phis, scen.ula_bs)
+            k_user = collinearity_sum(link.phi_norm, anchor_phis, scen.n_bs)
+            k_first = collinearity_sum(anchor_phis[n], anchor_phis, scen.n_bs)
             h_model = math.sqrt(c_beta_sq * k_user) * model_effective_channel(
                 rho, h1 / np.linalg.norm(h1), g_hat
             )
-            # decode position: strongest effective norm first (noma.py), with
+            # decode position: strongest effective norm first, with
             # this user's channel replaced by the modeled one
             cluster_norms = norms[n].copy()
             cluster_norms[m] = float(np.linalg.norm(h_model)) ** 2
@@ -470,20 +464,16 @@ def _charpoly_roots_3x3(m):
 
 
 def test_criterion_11_eigen_oracle_and_leakage_cap():
+    # the engine's eigenvalues come from batched numpy.linalg.eigvalsh stacks;
+    # matrix i takes the same normals as rng.normal(size=(n, n)) twice, real then imaginary
     rng = np.random.default_rng(13)
     worst_eig = 0.0
-    for _ in range(300):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m = (a + a.conj().T) / 2.0
-        worst_eig = max(
-            worst_eig, float(np.max(np.abs(hermitian_eig(m).values - _charpoly_roots_2x2(m))))
-        )
-    for _ in range(300):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        m = (a + a.conj().T) / 2.0
-        worst_eig = max(
-            worst_eig, float(np.max(np.abs(hermitian_eig(m).values - _charpoly_roots_3x3(m))))
-        )
+    for n, roots in ((2, _charpoly_roots_2x2), (3, _charpoly_roots_3x3)):
+        parts = rng.normal(size=(300, 2, n, n))
+        a = parts[:, 0] + 1j * parts[:, 1]
+        stack = (a + a.conj().transpose(0, 2, 1)) / 2.0
+        want = np.array([roots(m) for m in stack])
+        worst_eig = max(worst_eig, float(np.max(np.abs(np.linalg.eigvalsh(stack) - want))))
 
     # kappa_max(S) caps the power any unit leakage direction can collect
     cap_viol = 0

@@ -6,21 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config
-from hbnoma.beamforming import design_precoder, effective_channel, rf_subspace_modes
-from hbnoma.bounds import (
+from scalar_oracle import (
+    design_precoder,
+    effective_channel,
     kappa_max_S,
     leakage_direction,
     misalignment_factor,
-    misalignment_factor_eigen,
     model_effective_channel,
+    synthesize_scenario,
     theorem1_lower_bound,
     theorem2_lower_bound,
     theorem3_gap_bound,
-    user_bounds,
 )
-from hbnoma.channel import collinearity_sum, synthesize_scenario
-from hbnoma.errors import ZeroVector
-from hbnoma.numerics import hermitian_eig
 
 
 def _designed(seed=31, n_clusters=4, misalign_deg=4.0, trial=1):
@@ -45,8 +42,8 @@ def test_theorem2_frozen_value():
         c_beta_sq=100.0,
         kappa_max_s=5.0,
         kappa_min_f=0.8,
-        k_sum_first=2.0,
-        k_sum_user=1.5,
+        k_first=2.0,
+        k_user=1.5,
         noise_var=1.0,
     )
     assert zi == pytest.approx(81.0, abs=1e-12)
@@ -69,8 +66,8 @@ def test_theorem3_frozen_value_and_first_position():
         c_beta_sq=100.0,
         kappa_max_s=5.0,
         kappa_min_f=0.8,
-        k_sum_first=2.0,
-        k_sum_user=1.5,
+        k_first=2.0,
+        k_user=1.5,
         noise_var=1.0,
         position=2,
     )
@@ -87,34 +84,6 @@ def test_misalignment_factor_limits():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([0.0, 1.0], dtype=complex)
     assert misalignment_factor(a, b) == 0.0
-    with pytest.raises(ZeroVector):
-        misalignment_factor(np.zeros(2, dtype=complex), h[:2])
-
-
-def test_misalignment_factor_eigen_route_matches_direct():
-    scen, pre = _designed()
-    modes = rf_subspace_modes(pre.f_rf, hermitian_eig(pre.gram))
-    anchor_phis = [
-        scen.clusters[c][pre.first_users[c]].phi_norm for c in range(scen.n_clusters)
-    ]
-    for ci, cluster in enumerate(scen.clusters):
-        first = scen.clusters[ci][pre.first_users[ci]]
-        h_first = effective_channel(first, pre.f_rf, scen.ula_bs, scen.array_gain)
-        for link in cluster:
-            h = effective_channel(link, pre.f_rf, scen.ula_bs, scen.array_gain)
-            direct = misalignment_factor(h, h_first)
-            eig_route = misalignment_factor_eigen(
-                link.phi_norm,
-                first.phi_norm,
-                modes,
-                collinearity_sum(link.phi_norm, anchor_phis, scen.ula_bs),
-                collinearity_sum(first.phi_norm, anchor_phis, scen.ula_bs),
-                scen.ula_bs,
-            )
-            assert 0.0 <= direct <= 1.0
-            assert 0.0 <= eig_route <= 1.0
-            # the eigen form upper-bounds the direct Hermitian cosine
-            assert eig_route >= direct - 1e-10
 
 
 def test_leakage_direction_unit_and_zero_forced():
@@ -123,7 +92,7 @@ def test_leakage_direction_unit_and_zero_forced():
     powers = np.ones(5)
     for n in range(5):
         g = leakage_direction(
-            pre.f_rf, firsts, powers, n, scen.array_gain, scen.ula_bs, weighted=True
+            pre.f_rf, firsts, powers, n, scen.array_gain, weighted=True
         )
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
         # the leakage lives where ZF already nulls the own beam
@@ -134,19 +103,17 @@ def test_leakage_direction_weighting_changes_direction():
     scen, pre = _designed(n_clusters=4)
     firsts = [scen.clusters[c][pre.first_users[c]] for c in range(4)]
     powers = np.array([4.0, 0.1, 2.0, 1.0])
-    gw = leakage_direction(pre.f_rf, firsts, powers, 2, scen.array_gain, scen.ula_bs, True)
-    gu = leakage_direction(pre.f_rf, firsts, powers, 2, scen.array_gain, scen.ula_bs, False)
+    gw = leakage_direction(pre.f_rf, firsts, powers, 2, scen.array_gain, True)
+    gu = leakage_direction(pre.f_rf, firsts, powers, 2, scen.array_gain, False)
     assert abs(np.vdot(gw, gu)) < 1.0 - 1e-6
 
 
 def test_model_effective_channel_composition():
     scen, pre = _designed()
     firsts = [scen.clusters[c][pre.first_users[c]] for c in range(scen.n_clusters)]
-    h1 = effective_channel(firsts[0], pre.f_rf, scen.ula_bs, scen.array_gain)
+    h1 = effective_channel(firsts[0], pre.f_rf, scen.array_gain)
     h1_hat = h1 / np.linalg.norm(h1)
-    g = leakage_direction(
-        pre.f_rf, firsts, np.ones(scen.n_clusters), 0, scen.array_gain, scen.ula_bs
-    )
+    g = leakage_direction(pre.f_rf, firsts, np.ones(scen.n_clusters), 0, scen.array_gain)
     v = model_effective_channel(0.8, h1_hat, g)
     assert np.allclose(v, 0.8 * h1_hat + math.sqrt(1 - 0.64) * g, atol=1e-12)
     assert np.allclose(model_effective_channel(1.0, h1_hat, g), h1_hat, atol=1e-12)
@@ -179,23 +146,3 @@ def test_kappa_max_s_dominates_any_direction(exclude, g_seed):
         powers[l] * abs(np.vdot(g, pre.f_bb[:, l])) ** 2 for l in range(4) if l != exclude
     )
     assert quad <= kappa * (1.0 + 1e-9) + 1e-12
-
-
-def test_user_bounds_wires_scalars_together():
-    report = user_bounds(
-        own_power=2.0,
-        earlier_power=1.0,
-        rho=0.9,
-        c_beta_sq=100.0,
-        kappa_max_s=5.0,
-        kappa_min_f=0.8,
-        k_sum_first=2.0,
-        k_sum_user=1.5,
-        noise_var=1.0,
-        position=2,
-    )
-    assert report.lb_thm1 == pytest.approx(1.5730393333453367, abs=1e-12)
-    assert report.lb_thm2 == pytest.approx(0.5907088042640725, abs=1e-12)
-    assert report.gap_ub == pytest.approx(1.9828293000597461, abs=1e-12)
-    assert report.gap_ub_applicable
-    assert report.kappa_min_f == 0.8

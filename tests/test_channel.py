@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,86 +10,73 @@ from conftest import random_config
 from hbnoma.channel import (
     ClusterSpec,
     ScenarioConfig,
-    UlaConfig,
-    beam_collinearity,
-    collinearity_sum,
+    dirichlet_kernel,
     first_user_index,
     gain_db_to_beta,
-    normalized_angle,
-    steering_vector,
-    synthesize_scenario,
+    user_angles,
     validate_config,
 )
-from hbnoma.errors import ConfigError, OutOfRange
+from hbnoma.errors import ConfigError
+from scalar_oracle import (
+    collinearity_sum,
+    design_precoder,
+    effective_channel,
+    steering_vector,
+    synthesize_scenario,
+)
 
 angles = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 def test_steering_known_values():
-    ula = UlaConfig(n_elements=4)
-    assert np.allclose(steering_vector(0.0, ula), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+    assert np.allclose(steering_vector(0.0, 4), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
     # phi=0.5: entries exp(-j pi k / 2)/2
-    a = steering_vector(0.5, ula)
+    a = steering_vector(0.5, 4)
     assert np.allclose(a, [0.5, -0.5j, -0.5, 0.5j], atol=1e-15)
-    assert np.allclose(
-        steering_vector(1.0, UlaConfig(2)), [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-15
-    )
-
-
-def test_steering_out_of_range():
-    with pytest.raises(OutOfRange):
-        steering_vector(1.5, UlaConfig(4))
+    assert np.allclose(steering_vector(1.0, 2), [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-15)
 
 
 @given(angles, st.integers(min_value=1, max_value=64))
 @settings(max_examples=80)
 def test_steering_unit_norm(phi, n):
-    assert np.linalg.norm(steering_vector(phi, UlaConfig(n))) == pytest.approx(
-        1.0, abs=1e-12
+    assert np.linalg.norm(steering_vector(phi, n)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_user_angles_normalized_values():
+    cfg = ScenarioConfig(
+        clusters=(
+            ClusterSpec(aod_deg=0.0, gains_db=(0.0,)),
+            ClusterSpec(aod_deg=30.0, gains_db=(0.0,)),
+            ClusterSpec(aod_deg=-60.0, gains_db=(0.0,)),
+        )
     )
-
-
-def test_normalized_angle_values():
-    assert normalized_angle(0.0) == 0.0
-    assert normalized_angle(30.0) == pytest.approx(0.5, abs=1e-15)
-    assert normalized_angle(90.0) == pytest.approx(1.0, abs=1e-15)
-    assert normalized_angle(30.0, spacing_over_wavelength=0.25) == pytest.approx(0.25)
+    _, phi = user_angles(cfg, 0, [0])
+    np.testing.assert_allclose(phi[0], [0.0, 0.5, -math.sqrt(0.75)], rtol=0, atol=1e-15)
+    _, phi = user_angles(dataclasses.replace(cfg, spacing_over_wavelength=0.25), 0, [0])
+    np.testing.assert_allclose(phi[0], [0.0, 0.25, -math.sqrt(0.75) / 2], rtol=0, atol=1e-15)
 
 
 def test_collinearity_known_values():
-    ula = UlaConfig(8)
-    assert beam_collinearity(0.3, 0.3, ula) == pytest.approx(1.0, abs=1e-12)
+    def k(delta, n):
+        return float(np.abs(dirichlet_kernel(np.array(delta), n))[0] ** 2)
+
+    assert k(0.0, 8) == pytest.approx(1.0, abs=1e-12)
     # orthogonal grid spacing 2/N
-    assert beam_collinearity(0.0, 0.25, ula) == pytest.approx(0.0, abs=1e-12)
-    assert beam_collinearity(0.0, 0.1, ula) == pytest.approx(
-        0.5775210180698608, abs=1e-12
-    )
-
-
-@given(angles, angles, st.integers(min_value=1, max_value=48))
-@settings(max_examples=100)
-def test_collinearity_matches_inner_product(pa, pb, n):
-    # kernel formula against the direct summation route
-    ula = UlaConfig(n)
-    direct = abs(np.vdot(steering_vector(pa, ula), steering_vector(pb, ula))) ** 2
-    k = beam_collinearity(pa, pb, ula)
-    assert k == pytest.approx(direct, abs=1e-12)
-    assert 0.0 <= k <= 1.0
-    assert beam_collinearity(pb, pa, ula) == k
+    assert k(0.25, 8) == pytest.approx(0.0, abs=1e-12)
+    assert k(0.1, 8) == pytest.approx(0.5775210180698608, abs=1e-12)
+    assert k(-0.1, 8) == k(0.1, 8)
 
 
 def test_collinearity_spec_angles():
-    ula = UlaConfig(32)
     delta = math.sin(math.radians(30.0)) - math.sin(math.radians(10.0))
-    direct = abs(np.vdot(steering_vector(0.0, ula), steering_vector(delta, ula))) ** 2
-    assert beam_collinearity(0.0, delta, ula) == pytest.approx(direct, abs=1e-12)
+    direct = abs(np.vdot(steering_vector(0.0, 32), steering_vector(delta, 32))) ** 2
+    assert abs(dirichlet_kernel(np.array(delta), 32)[0]) ** 2 == pytest.approx(direct, abs=1e-12)
 
 
 def test_collinearity_sum_is_elementwise_total():
-    ula = UlaConfig(16)
     anchors = [0.1, 0.4, -0.3]
-    expect = sum(beam_collinearity(p, 0.2, ula) for p in anchors)
-    assert collinearity_sum(0.2, anchors, ula) == pytest.approx(expect, abs=1e-12)
+    expect = sum(abs(dirichlet_kernel(np.array(0.2 - p), 16)[0]) ** 2 for p in anchors)
+    assert collinearity_sum(0.2, anchors, 16) == pytest.approx(expect, abs=1e-12)
 
 
 def test_gain_db_to_beta():
@@ -154,18 +142,16 @@ def test_validate_config_errors():
 
 def test_effective_norm_identity():
     # ||h_eff||^2 = c |beta|^2 sum_l K(phi_l1 - phi)
-    from hbnoma.beamforming import design_precoder, effective_channel
-
     rng = np.random.default_rng(5)
     cfg = random_config(rng, n_clusters=4, misalign_deg=4.0)
     scen = synthesize_scenario(cfg, seed=11, trial=2)
     pre = design_precoder(scen)
     anchor_phis = [scen.clusters[c][pre.first_users[c]].phi_norm for c in range(4)]
     for link in scen.links():
-        h = effective_channel(link, pre.f_rf, scen.ula_bs, scen.array_gain)
+        h = effective_channel(link, pre.f_rf, scen.array_gain)
         expect = (
             scen.array_gain
             * abs(link.beta) ** 2
-            * collinearity_sum(link.phi_norm, anchor_phis, scen.ula_bs)
+            * collinearity_sum(link.phi_norm, anchor_phis, scen.n_bs)
         )
         assert float(np.vdot(h, h).real) == pytest.approx(expect, rel=1e-9)

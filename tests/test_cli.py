@@ -173,6 +173,14 @@ def test_run_rejects_hb_exact_false(tmp_path, capsys):
     assert "hb_exact" in capsys.readouterr().err
 
 
+def test_run_rejects_repeated_sweep_value(tmp_path, capsys):
+    doc = dict(VALID_CONFIG, sweep={"name": "snr_db", "values": [10.0, 10.0]})
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_without_bounds_leaves_bound_columns_empty(tmp_path):
     tables = {}
     for hb_lb in (True, False):

@@ -1,10 +1,8 @@
-"""The batched engine against a scalar oracle, and the counter RNG.
+"""The batched engine against the scalar oracle, and the counter RNG.
 
-The oracle walks one draw user by user through the public per-scenario
-functions (synthesize, design_precoder, effective_channel, collinearity_sum,
-misalignment_factor, leakage_direction, allocate_power, exact_rate,
-user_bounds), with kappa_max(S) from numpy.linalg.eigvalsh. block_metrics
-must agree with it field by field.
+scalar_oracle.scalar_trial walks one draw user by user with explicit
+steering vectors and numpy.linalg; block_metrics must agree with it field by
+field.
 """
 
 import math
@@ -17,27 +15,12 @@ from hypothesis import strategies as st
 from hbnoma import (
     ClusterSpec,
     ScenarioConfig,
-    allocate_power,
     block_metrics,
-    collinearity_sum,
     counter_uniform,
-    design_precoder,
     dirichlet_kernel,
-    effective_channel,
-    exact_rate,
-    leakage_direction,
-    misalignment_factor,
-    model_effective_channel,
-    order_users_by_effective,
-    rate_from_terms,
-    steering_vector,
-    synthesize_scenario,
     trial_metrics,
     user_angles,
-    user_bounds,
 )
-from hbnoma.beamforming import build_rf_precoder, select_first_users
-from hbnoma.channel import UlaConfig
 from hbnoma.errors import (
     ConfigError,
     DegenerateScenario,
@@ -47,92 +30,17 @@ from hbnoma.errors import (
     TrialError,
 )
 from hbnoma.montecarlo import EXCLUSIONS
+from scalar_oracle import (
+    FIELDS,
+    design_precoder,
+    leakage_direction,
+    scalar_trial,
+    steering_vector,
+    synthesize_scenario,
+)
 
 RTOL = 1e-12
-FIELDS = ("rho", "rate_exact", "rate_lb_thm1", "rate_lb_thm2", "rate_gap")
 EXCLUDABLE = tuple(EXCLUSIONS.values())
-
-
-def _kappa_max_s(f_bb, cluster_power, exclude):
-    keep = [ell for ell in range(f_bb.shape[1]) if ell != exclude]
-    if not keep:
-        return 0.0
-    weighted = f_bb[:, keep] * np.sqrt(cluster_power[keep])
-    return float(np.linalg.eigvalsh(weighted @ weighted.conj().T)[-1])
-
-
-def scalar_trial(cfg, seed, trial, snr_db, model_channels, leak_weighted):
-    """One draw, user by user, through the public scalar functions."""
-    scen = synthesize_scenario(cfg, seed, trial)
-    if model_channels and scen.n_clusters < 2:
-        raise ConfigError("model-generated channels need at least two clusters")
-    pre = design_precoder(scen)
-    c = scen.array_gain
-    ula = scen.ula_bs
-    firsts = pre.first_users
-    first_links = [scen.clusters[n][firsts[n]] for n in range(scen.n_clusters)]
-    anchor_phis = [link.phi_norm for link in first_links]
-    eff = [[effective_channel(l, pre.f_rf, ula, c) for l in cl] for cl in scen.clusters]
-    k_user = [[collinearity_sum(l.phi_norm, anchor_phis, ula) for l in cl] for cl in scen.clusters]
-    k_first = [collinearity_sum(phi, anchor_phis, ula) for phi in anchor_phis]
-    rho = [
-        [
-            1.0
-            if m == firsts[n] or link.phi_norm == anchor_phis[n]
-            else misalignment_factor(eff[n][m], eff[n][firsts[n]])
-            for m, link in enumerate(cl)
-        ]
-        for n, cl in enumerate(scen.clusters)
-    ]
-    if model_channels:
-        raw = [np.array([float(np.vdot(h, h).real) for h in cl]) for cl in eff]
-        raw_shares = allocate_power(raw, 1.0).cluster_power
-        for n, cl in enumerate(scen.clusters):
-            leak = leakage_direction(
-                pre.f_rf, first_links, raw_shares, n, c, ula, weighted=leak_weighted
-            )
-            h1 = eff[n][firsts[n]]
-            for m, link in enumerate(cl):
-                if m != firsts[n]:
-                    scale = math.sqrt(c * abs(link.beta) ** 2 * k_user[n][m])
-                    eff[n][m] = scale * model_effective_channel(
-                        rho[n][m], h1 / np.linalg.norm(h1), leak
-                    )
-    norms = [np.array([float(np.vdot(h, h).real) for h in cl]) for cl in eff]
-    p_total = cfg.noise_var * 10.0 ** (snr_db / 10.0)
-    alloc = allocate_power(norms, p_total)
-    out = {name: [] for name in FIELDS + ("position", "gap_ub_thm3", "gap_ub_applicable")}
-    for n, cl in enumerate(scen.clusters):
-        order = list(order_users_by_effective(norms[n]))
-        kappa_s = _kappa_max_s(pre.f_bb, alloc.cluster_power, n)
-        for m, link in enumerate(cl):
-            position = order.index(m) + 1
-            own = float(alloc.user_power[n][m])
-            earlier = float(sum(alloc.user_power[n][i] for i in order[: position - 1]))
-            exact = exact_rate(
-                eff[n][m], pre.f_bb, n, m, position, own, earlier,
-                alloc.cluster_power, cfg.noise_var,
-            ).rate
-            c_beta_sq = c * abs(link.beta) ** 2
-            report = user_bounds(
-                own, earlier, rho[n][m], c_beta_sq, kappa_s, pre.kappa_min,
-                k_first[n], k_user[n][m], cfg.noise_var, position,
-            )
-            aligned = rate_from_terms(
-                own * c_beta_sq, earlier * c_beta_sq, 0.0, cfg.noise_var * pre.inv_gram_diag[n]
-            )
-            out["position"].append(position)
-            out["rho"].append(rho[n][m])
-            out["rate_exact"].append(exact)
-            out["rate_lb_thm1"].append(report.lb_thm1)
-            out["rate_lb_thm2"].append(report.lb_thm2)
-            out["rate_gap"].append(aligned - exact)
-            out["gap_ub_thm3"].append(report.gap_ub)
-            # the engine reports the Thm 3 bound where it is defined and finite
-            out["gap_ub_applicable"].append(
-                report.gap_ub_applicable and math.isfinite(report.gap_ub)
-            )
-    return {k: np.array(v) for k, v in out.items()}
 
 
 def _assert_close(got, want, what, slack=0.0):
@@ -268,11 +176,10 @@ def test_excluded_draws_raise_in_trial_metrics():
     with pytest.raises(DegenerateSubspace, match="near-"):
         trial_metrics(faint, 1, 0, model_channels=True)
     scen = synthesize_scenario(faint, 1, 0)
-    firsts = select_first_users(scen)
-    first_links = [scen.clusters[n][firsts[n]] for n in range(2)]
+    pre = design_precoder(scen)
+    first_links = [scen.clusters[n][pre.first_users[n]] for n in range(2)]
     with pytest.raises(DegenerateSubspace):
-        f_rf = build_rf_precoder(scen, firsts)
-        leakage_direction(f_rf, first_links, [0.5, 0.5], 0, scen.array_gain, scen.ula_bs)
+        leakage_direction(pre.f_rf, first_links, [0.5, 0.5], 0, scen.array_gain)
 
     silent = ScenarioConfig(clusters=(ClusterSpec(10.0, (-7000.0,)),))
     assert list(block_metrics(silent, 1, [0]).excluded) == [3]
@@ -341,6 +248,5 @@ def test_dirichlet_kernel_matches_inner_product(x, y, n, where):
         x, y = x, min(max(x + 1e-7 * y, -1.0), 1.0)
     elif where == "grating":
         x, y = -1.0 + 1e-3 * abs(x), 1.0 - 1e-3 * abs(y)
-    ula = UlaConfig(n)
-    direct = np.vdot(steering_vector(x, ula), steering_vector(y, ula))
+    direct = np.vdot(steering_vector(x, n), steering_vector(y, n))
     assert abs(dirichlet_kernel(np.array(y - x), n) - direct) <= 1e-14 * n

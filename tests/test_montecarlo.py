@@ -16,6 +16,7 @@ from hbnoma.montecarlo import (
     _Accumulator,
     validate_spec,
 )
+from scalar_oracle import fully_digital_rates, oma_rate, synthesize_scenario
 
 TWO_CLUSTERS = ScenarioConfig(
     clusters=(
@@ -148,6 +149,61 @@ def test_spec_validation():
                 sweep_name="cluster_size", sweep_values=(3.0,), observe_cluster=9, trials=1
             )
         )
+    # a repeated value or system label would merge two cells' trials into one
+    with pytest.raises(ConfigError, match="repeat"):
+        validate_spec(small_spec(sweep_values=(10.0, 10.0)))
+    for grid in ((3.0, 3.0), (3.0, 3.0000001)):
+        with pytest.raises(ConfigError, match="label"):
+            validate_spec(small_spec(misalign_grid=grid))
+    # array and cluster sizes count antennas and users
+    for name, extra in (("n_bs", {}), ("cluster_size", {"observe_cluster": 1})):
+        for bad in (8.5, 2.7, 0.0, -4.0):
+            with pytest.raises(ConfigError, match="integers"):
+                validate_spec(small_spec(sweep_name=name, sweep_values=(8.0, bad), **extra))
+        validate_spec(small_spec(sweep_name=name, sweep_values=(1.0, 8.0), **extra))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        preset("fig3a"),
+        dataclasses.replace(preset("fig5"), trials=2),
+        # c = 8 N_BS is not a power of two, so the order of the OMA product
+        # (P c)|beta|^2 shows in the last bit for 25 of fig5's 88 gains at 10 dB
+        dataclasses.replace(
+            preset("fig5"),
+            sweep_name="n_bs",
+            sweep_values=(24.0, 48.0),
+            misalign_grid=None,
+            trials=2,
+        ),
+    ],
+    ids=["fig3a", "fig5", "n_bs-24-48"],
+)
+def test_baseline_cells_match_scalar_oracle(spec):
+    table = run_experiment(spec)
+    checked = 0
+    for cell in table.cells:
+        if cell.system not in ("fd", "oma"):
+            continue
+        if spec.sweep_name == "snr_db":
+            cfg = dataclasses.replace(spec.scenario, snr_db=cell.sweep_value)
+        else:
+            cfg = dataclasses.replace(spec.scenario, n_bs=int(cell.sweep_value))
+        scen = synthesize_scenario(dataclasses.replace(cfg, misalign_deg=0.0), spec.seed)
+        if cell.system == "fd":
+            want = fully_digital_rates(scen)
+        else:
+            want = {
+                (link.cluster, link.user): oma_rate(
+                    link.beta, scen.total_power, scen.noise_var, scen.array_gain
+                )
+                for link in scen.links()
+            }
+        got = dict(zip(zip(cell.cluster.tolist(), cell.user.tolist()), cell.rate_exact.tolist()))
+        assert got == want  # bit for bit
+        checked += 1
+    assert checked == len(spec.sweep_values) * (spec.baselines.fd + spec.baselines.oma)
 
 
 def test_model_channel_run_reports_bounds():

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbnoma.channel import ClusterSpec, ScenarioConfig, synthesize_scenario
+from hbnoma.channel import ClusterSpec, ScenarioConfig
 from hbnoma.errors import DegenerateScenario
-from hbnoma.noma import (
+from scalar_oracle import (
     allocate_power,
     exact_rate,
     fully_digital_rates,
     oma_rate,
     order_users_by_effective,
     rate_from_terms,
+    synthesize_scenario,
 )
 
 pos_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -67,21 +68,19 @@ def test_exact_rate_hand_case():
     # h = [1, i], identity baseband, P = [2, 3]: SINR = 2/(3+1)
     h = np.array([1.0, 1.0j])
     f_bb = np.eye(2, dtype=np.complex128)
-    report = exact_rate(
+    rate = exact_rate(
         h_eff=h,
         f_bb=f_bb,
         cluster_idx=0,
-        user_idx=0,
-        position=1,
         own_power=2.0,
         earlier_power=0.0,
         cluster_power=np.array([2.0, 3.0]),
         noise_var=1.0,
     )
-    assert report.rate == pytest.approx(0.5849625007211562, abs=1e-12)
-    assert report.signal == pytest.approx(2.0)
-    assert report.intra == 0.0
-    assert report.inter == pytest.approx(3.0)
+    assert rate == pytest.approx(0.5849625007211562, abs=1e-12)
+    # an earlier-decoded user's power 0.5 joins the interference: SINR = 2/(0.5+3+1)
+    later = exact_rate(h, f_bb, 0, 2.0, 0.5, np.array([2.0, 3.0]), 1.0)
+    assert later == pytest.approx(math.log2(1.0 + 2.0 / 4.5), abs=1e-12)
 
 
 def test_oma_rate_formula():
