@@ -23,8 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hbnoma.channel import first_user_index, gain_db_to_beta, user_angles, validate_config
-from hbnoma.errors import ConfigError, DegenerateScenario, DegenerateSubspace, SingularMatrix
+from hbnoma.channel import (
+    ANGLE_SLACK,
+    first_user_index,
+    gain_db_to_beta,
+    user_angles,
+    validate_config,
+)
+from hbnoma.errors import (
+    ConfigError,
+    DegenerateScenario,
+    DegenerateSubspace,
+    OutOfRange,
+    SingularMatrix,
+)
 from hbnoma.montecarlo import CONDITION_CAP, LEAK_NORM_FLOOR
 
 LOG2 = math.log(2.0)
@@ -86,6 +98,8 @@ def synthesize_scenario(cfg, seed: int, trial: int = 0) -> Scenario:
 
 def steering_vector(phi_norm: float, n: int) -> np.ndarray:
     """Unit-norm array response: entry k is exp(-j pi k phi) / sqrt(n)."""
+    if abs(phi_norm) > 1.0 + ANGLE_SLACK:
+        raise OutOfRange(f"normalized angle {phi_norm} outside [-1, 1]")
     return np.exp(-1j * math.pi * phi_norm * np.arange(n)) / math.sqrt(n)
 
 

@@ -73,6 +73,22 @@ def test_gamma_matches_inverse_gram_diagonal():
     assert np.allclose(pre.inv_gram_diag, np.diag(inv).real, rtol=1e-10)
 
 
+def test_rf_subspace_modes_diagonalize():
+    # the eigenpairs (lam, w) of the N x N Gram F_RF^H F_RF give the N_BS-long
+    # modes F_RF w / sqrt(lam) of F_RF F_RF^H with the same eigenvalues, so
+    # kappa_min(F) can be read off the Gram, as the engine does
+    scen = _scenario(n_clusters=4)
+    pre = design_precoder(scen)
+    values, vectors = np.linalg.eigh(pre.gram)
+    assert values[0] == pytest.approx(pre.kappa_min, rel=1e-12)
+    modes = pre.f_rf @ vectors / np.sqrt(values)
+    outer = pre.f_rf @ pre.f_rf.conj().T
+    for lam, v in zip(values, modes.T):
+        assert np.allclose(outer @ v, lam * v, atol=1e-9)
+    overlap = modes.conj().T @ modes
+    assert np.allclose(overlap, np.eye(len(values)), atol=1e-9)
+
+
 def test_colliding_clusters_raise():
     cfg = ScenarioConfig(
         clusters=(

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config
+from hbnoma.channel import dirichlet_kernel
+from hbnoma.montecarlo import _evaluate, _Geometry, _Layout
 from scalar_oracle import (
     design_precoder,
     effective_channel,
@@ -86,6 +88,32 @@ def test_misalignment_factor_limits():
     assert misalignment_factor(a, b) == 0.0
 
 
+def test_misalignment_factor_eigen_route_matches_direct():
+    # h^H = sqrt(c) beta a^H(phi) F_RF has entries conj(K(phi - phi_l1)), so
+    # rho is the Hermitian cosine of two kernel rows over the anchors: the
+    # closed form the engine evaluates without forming the N_BS dimension
+    scen, pre = _designed()
+    anchor_phis = np.array(
+        [scen.clusters[c][pre.first_users[c]].phi_norm for c in range(scen.n_clusters)]
+    )
+    for ci, cluster in enumerate(scen.clusters):
+        first = scen.clusters[ci][pre.first_users[ci]]
+        h_first = effective_channel(first, pre.f_rf, scen.array_gain)
+        k_first = dirichlet_kernel(first.phi_norm - anchor_phis, scen.n_bs)
+        for link in cluster:
+            h = effective_channel(link, pre.f_rf, scen.array_gain)
+            direct = misalignment_factor(h, h_first)
+            k_user = dirichlet_kernel(link.phi_norm - anchor_phis, scen.n_bs)
+            kernel_route = min(
+                abs(np.vdot(k_first, k_user))
+                / (np.linalg.norm(k_user) * np.linalg.norm(k_first)),
+                1.0,
+            )
+            assert 0.0 <= direct <= 1.0
+            assert 0.0 <= kernel_route <= 1.0
+            assert kernel_route == pytest.approx(direct, abs=1e-12)
+
+
 def test_leakage_direction_unit_and_zero_forced():
     scen, pre = _designed(n_clusters=5)
     firsts = [scen.clusters[c][pre.first_users[c]] for c in range(5)]
@@ -146,3 +174,40 @@ def test_kappa_max_s_dominates_any_direction(exclude, g_seed):
         powers[l] * abs(np.vdot(g, pre.f_bb[:, l])) ** 2 for l in range(4) if l != exclude
     )
     assert quad <= kappa * (1.0 + 1e-9) + 1e-12
+
+
+def test_user_bounds_wires_scalars_together():
+    # the engine's per-user bound stage fed the frozen inputs of the three
+    # theorem tests above (one user at decode position 2, P = 4)
+    one = np.ones(1)
+    lay = _Layout(
+        cluster_of=np.zeros(1, dtype=np.int64),
+        user=one.astype(np.int64),
+        anchors=np.zeros(1, dtype=np.int64),
+        starts=np.zeros(1, dtype=np.int64),
+        sizes=one.astype(np.int64),
+        beta_sq=one,
+        c_beta_sq=100.0 * one,
+    )
+    row = np.ones((1, 1))
+    geo = _Geometry(
+        layout=lay,
+        excluded=np.zeros(1, dtype=np.int64),
+        gram=np.ones((1, 1, 1)),
+        position=2 * row.astype(np.int64),
+        share_user=0.5 * row,  # own power 2
+        share_earlier=0.25 * row,  # earlier power 1
+        own_gain=100.0 * row,
+        inter_gain_unit=0.0 * row,
+        rho=0.9 * row,
+        k_user=1.5 * row,
+        k_first=2.0 * row,
+        finv_diag=row,
+        kappa_min=0.8 * one,
+        kappa_s_unit=1.25 * row,  # kappa_max(S) 5
+    )
+    out = _evaluate(geo, p_total=4.0, noise_var=1.0)
+    assert out["rate_lb_thm1"][0, 0] == pytest.approx(1.5730393333453367, abs=1e-12)
+    assert out["rate_lb_thm2"][0, 0] == pytest.approx(0.5907088042640725, abs=1e-12)
+    assert out["gap_ub_thm3"][0, 0] == pytest.approx(1.9828293000597461, abs=1e-12)
+    assert out["gap_ub_applicable"][0, 0]

@@ -16,7 +16,7 @@ from hbnoma.channel import (
     user_angles,
     validate_config,
 )
-from hbnoma.errors import ConfigError
+from hbnoma.errors import ConfigError, OutOfRange
 from scalar_oracle import (
     collinearity_sum,
     design_precoder,
@@ -36,13 +36,20 @@ def test_steering_known_values():
     assert np.allclose(steering_vector(1.0, 2), [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-15)
 
 
+def test_steering_out_of_range():
+    with pytest.raises(OutOfRange):
+        steering_vector(1.5, 4)
+    # the engine's slack: rounding just past the endfire angle is still in range
+    steering_vector(-1.0 - 1e-13, 4)
+
+
 @given(angles, st.integers(min_value=1, max_value=64))
 @settings(max_examples=80)
 def test_steering_unit_norm(phi, n):
     assert np.linalg.norm(steering_vector(phi, n)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_user_angles_normalized_values():
+def test_normalized_angle_values():
     cfg = ScenarioConfig(
         clusters=(
             ClusterSpec(aod_deg=0.0, gains_db=(0.0,)),
@@ -65,6 +72,17 @@ def test_collinearity_known_values():
     assert k(0.25, 8) == pytest.approx(0.0, abs=1e-12)
     assert k(0.1, 8) == pytest.approx(0.5775210180698608, abs=1e-12)
     assert k(-0.1, 8) == k(0.1, 8)
+
+
+@given(angles, angles, st.integers(min_value=1, max_value=48))
+@settings(max_examples=100)
+def test_collinearity_matches_inner_product(pa, pb, n):
+    # |K|^2 of the kernel against the direct summation route
+    direct = abs(np.vdot(steering_vector(pa, n), steering_vector(pb, n))) ** 2
+    k = abs(dirichlet_kernel(np.array(pb - pa), n)[0]) ** 2
+    assert k == pytest.approx(direct, abs=1e-12)
+    assert 0.0 <= k <= 1.0 + 1e-15
+    assert abs(dirichlet_kernel(np.array(pa - pb), n)[0]) ** 2 == k
 
 
 def test_collinearity_spec_angles():
