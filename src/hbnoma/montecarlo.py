@@ -2,11 +2,17 @@
 
 A trial draws one scenario realization, designs the precoder, allocates power
 and evaluates exact rates and all bounds. One engine evaluates a block of
-trials at once, in closed form over (trials, users, clusters) arrays. Every
-per-user quantity is linear in the total power, so an SNR sweep shares the
-per-trial geometry and rescales. Blocks of CHUNK trials are independent work
-items; they are reduced in trial order, making the output bit-identical for
-any worker count.
+trials at once, in closed form over (trials, users, clusters) arrays, in two
+stages. The draw stage (angles, kernel, Gram eigenvalues and inverse, F_BB)
+never reads the user gains, so a cluster_size sweep draws each block once, at
+its largest size: the counter RNG keys on (cluster, user) and the observed
+cluster's anchor is its user 1 at every size, so every size's draws are a
+subset of the largest's. The view stage then computes, per sweep value on
+that value's users, everything that depends on the norms. Every per-user
+quantity is linear in the total power, so an SNR sweep shares one view of each
+block and rescales. Blocks of CHUNK trials are independent work items; they
+are reduced in trial order, making the output bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -216,43 +222,69 @@ class _Geometry:
     kappa_s_unit: np.ndarray | None  # (T, N); None when the bounds are skipped
 
 
-def _geometry(
-    cfg: ScenarioConfig,
-    lay: _Layout,
-    seed: int,
-    trials,
-    model_channels: bool,
-    leak_weighted: bool,
-    bounds: bool = True,
-) -> _Geometry:
-    """Synthesize, precode and allocate a block of draws in closed form.
+@dataclass
+class _Draw:
+    """The norm-free part of a block of draws: angles, kernel and precoder, (T, ...) arrays."""
+
+    trials: np.ndarray  # (T,)
+    phi: np.ndarray  # (T, U) normalized angles
+    kern: np.ndarray  # (T, U, N) kernel rows against the cluster anchors
+    gram: np.ndarray  # (T, N, N)
+    singular: np.ndarray  # (T,)
+    kappa_min: np.ndarray  # (T,)
+    finv_diag: np.ndarray  # (T, N)
+    f_bb: np.ndarray  # (T, N, N)
+
+
+def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials) -> _Draw:
+    """Draw stage: synthesize and precode a block of draws in closed form.
 
     Every quantity is a function of the complex kernel
     K[t, u, n] = a^H(phi_first,n) a(phi_u) over the N cluster beams; the
     N_BS dimension is never formed. With H_bar square, the zero-forcing
-    stage reduces to F_BB = G^{-1} diag(1 / sqrt([G^{-1}]_nn)).
+    stage reduces to F_BB = G^{-1} diag(1 / sqrt([G^{-1}]_nn)). Nothing here
+    reads the user gains, so a configuration whose users are a subset of
+    cfg's (with the same anchors) shares the whole stage: its kernel rows
+    are rows of this kernel and its Gram matrix and F_BB are these.
     """
     trials = np.asarray(trials, dtype=np.int64)
-    n = len(lay.anchors)
-    if model_channels and n < 2:
-        raise ConfigError("model-generated channels need at least two clusters")
     _, phi = user_angles(cfg, seed, trials)
-    bad = np.abs(phi) > 1.0 + ANGLE_SLACK
-    if bad.any():
-        t, u = np.argwhere(bad)[0]
-        cause = OutOfRange(f"normalized angle {phi[t, u]} outside [-1, 1]")
-        raise TrialError(int(trials[t]), cause) from cause
-
     kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
     gram = kern[:, lay.anchors, :].transpose(0, 2, 1)  # G[k, n] = a_k^H a_n
     eigs = np.linalg.eigvalsh(gram)
     singular = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > CONDITION_CAP * eigs[:, 0])
     # a singular draw is excluded; an identity Gram stands in for it so that
     # the block's arithmetic stays finite
-    finv = np.linalg.inv(np.where(singular[:, None, None], np.eye(n), gram))
+    finv = np.linalg.inv(np.where(singular[:, None, None], np.eye(len(lay.anchors)), gram))
     finv_diag = np.diagonal(finv, axis1=1, axis2=2).real
+    kappa_min = np.where(singular, 1.0, eigs[:, 0])
     f_bb = finv / np.sqrt(finv_diag)[:, None, :]
+    return _Draw(trials, phi, kern, gram, singular, kappa_min, finv_diag, f_bb)
 
+
+def _view(
+    draw: _Draw, lay: _Layout, users, model_channels: bool, leak_weighted: bool, bounds: bool = True
+) -> _Geometry:
+    """View stage: allocate one configuration's users of a drawn block.
+
+    users indexes the configuration's users (laid out as lay) among the
+    draw's, slice(None) when they are all of them. Everything that depends
+    on the user norms is computed here, on (T, U) and (T, U, N) arrays of
+    this configuration's own shape: the angle range check, the norms and
+    rho, modeled channels, shares, decode positions, beam gains, the
+    kappa_max(S) stack and the exclusions other than a singular Gram.
+    """
+    n = len(lay.anchors)
+    if model_channels and n < 2:
+        raise ConfigError("model-generated channels need at least two clusters")
+    phi = draw.phi[:, users]
+    bad = np.abs(phi) > 1.0 + ANGLE_SLACK
+    if bad.any():
+        t, u = np.argwhere(bad)[0]
+        cause = OutOfRange(f"normalized angle {phi[t, u]} outside [-1, 1]")
+        raise TrialError(int(draw.trials[t]), cause) from cause
+
+    kern, gram, f_bb = draw.kern[:, users], draw.gram, draw.f_bb
     k_user = _norm_sq(kern)
     k_anchor = k_user[:, lay.anchors]
     raw_norms = lay.c_beta_sq * k_user
@@ -267,7 +299,7 @@ def _geometry(
     # effective channels are sqrt(c_beta_sq) * chan; chan is the kernel row
     # unless modeled channels replace the non-anchor users
     chan = kern
-    leak_collapsed = np.zeros(len(trials), dtype=bool)
+    leak_collapsed = np.zeros(len(draw.trials), dtype=bool)
     norms = raw_norms
     if model_channels:
         raw_sums = np.add.reduceat(raw_norms, lay.starts, axis=1)
@@ -312,7 +344,7 @@ def _geometry(
         - share_cluster[:, lay.cluster_of] * own_gain
     )
 
-    del kern, chan  # the (T, U, N) arrays are done with; free them before the eigen stack
+    del kern, chan  # the view's (T, U, N) arrays are done with; free them before the eigen stack
     kappa_s_unit = None
     if bounds:
         # kappa_max(S) per excluded cluster: the largest eigenvalue of the
@@ -324,7 +356,7 @@ def _geometry(
         kappa_s_unit = np.linalg.eigvalsh(weighted[:, None] * keep)[..., -1]
 
     excluded = np.select(
-        [singular, degenerate, leak_collapsed], [_SINGULAR, _SCENARIO, _SUBSPACE], 0
+        [draw.singular, degenerate, leak_collapsed], [_SINGULAR, _SCENARIO, _SUBSPACE], 0
     )
     return _Geometry(
         layout=lay,
@@ -338,8 +370,8 @@ def _geometry(
         rho=rho,
         k_user=k_user,
         k_first=k_anchor,
-        finv_diag=finv_diag,
-        kappa_min=np.where(singular, 1.0, eigs[:, 0]),
+        finv_diag=draw.finv_diag,
+        kappa_min=draw.kappa_min,
         kappa_s_unit=kappa_s_unit,
     )
 
@@ -439,7 +471,7 @@ def block_metrics(
     with TrialError naming the lowest such trial.
     """
     lay = _Layout.of(cfg)
-    geo = _geometry(cfg, lay, seed, trials, model_channels, leak_weighted)
+    geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels, leak_weighted)
     fields = _evaluate(geo, _power(cfg, snr_db), cfg.noise_var)
     kept = (geo.excluded == 0)[:, None]
     applicable = fields.pop("gap_ub_applicable") & kept
@@ -468,7 +500,7 @@ def trial_metrics(
     """
     lay = _Layout.of(cfg)
     try:
-        geo = _geometry(cfg, lay, seed, [trial], model_channels, leak_weighted)
+        geo = _view(_draw(cfg, lay, seed, [trial]), lay, slice(None), model_channels, leak_weighted)
     except TrialError as exc:
         raise exc.__cause__ from None
     code = int(geo.excluded[0])
@@ -615,6 +647,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
     if spec.misalign_grid is not None:
         if len(spec.misalign_grid) == 0:
             raise ConfigError("misalign_grid must be nonempty when given")
+        if min(spec.misalign_grid) < 0:
+            raise ConfigError(f"misalignment spread must be >= 0, got {spec.misalign_grid}")
         labels = [_system_label(b, True) for b in spec.misalign_grid]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"misalign_grid values share a system label: {labels}")
@@ -627,11 +661,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run the experiment; deterministic for fixed (spec, seed) at any worker count."""
     validate_spec(spec)
-    base = spec.scenario
-    grid = spec.misalign_grid if spec.misalign_grid is not None else (base.misalign_deg,)
+    grid = spec.misalign_grid if spec.misalign_grid is not None else (spec.scenario.misalign_deg,)
+    base = replace(spec.scenario, misalign_deg=grid[0])  # the layouts ignore the misalignment
     multi = len(grid) > 1
 
-    # (value, config, snr list) tasks; snr sweeps share geometry across values
+    # (value, config, layout, snr list) tasks; snr sweeps share geometry across values
     if spec.sweep_name == "snr_db":
         tasks = [(None, base, [float(v) for v in spec.sweep_values])]
     elif spec.sweep_name == "n_bs":
@@ -643,52 +677,58 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             (float(v), _with_cluster_size(base, spec.observe_cluster, int(v)), [base.snr_db])
             for v in spec.sweep_values
         ]
+    tasks = [(value, cfg, _Layout.of(cfg), snrs) for value, cfg, snrs in tasks]
+
+    # geometry keys: (config, layout, views drawn from it); a view is
+    # (sweep value, layout, its users among the key's, snr list)
+    views = [(value, lay, slice(None), snrs) for value, _, lay, snrs in tasks]
+    if spec.sweep_name == "cluster_size":
+        # drawn once at the largest size: a size's users are the other
+        # clusters' and the observed cluster's first, in flat order
+        _, cfg, lay, _ = max(tasks, key=lambda task: task[0])
+        others = lay.cluster_of != spec.observe_cluster - 1
+        views = [(v, vl, np.flatnonzero(others | (lay.user <= v)), s) for v, vl, _, s in views]
+        keys = [(cfg, lay, views)]
+    else:
+        keys = [(cfg, lay, [view]) for (_, cfg, lay, _), view in zip(tasks, views)]
 
     cells: list[ResultCell] = []
     cell_trials: dict[tuple[str, float], int] = {}
     excluded: dict[tuple[str, float], int] = {}
-
+    view_args = (spec.baselines.model_channels, spec.leak_weighted, spec.baselines.hb_lb)
     for b in grid:
         label = _system_label(b, multi)
-        for value, cfg, snrs in tasks:
+        n_trials = 1 if b == 0.0 and not spec.baselines.model_channels else spec.trials
+        for cfg, lay, views in keys:
             cfg_b = replace(cfg, misalign_deg=float(b))
-            lay = _Layout.of(cfg_b)
-            deterministic = b == 0.0 and not spec.baselines.model_channels
-            n_trials = 1 if deterministic else spec.trials
-            accs = {snr: _Accumulator(len(lay.user)) for snr in snrs}
 
-            def one_block(trials, cfg_b=cfg_b, lay=lay):
-                return _geometry(
-                    cfg_b,
-                    lay,
-                    spec.seed,
-                    trials,
-                    spec.baselines.model_channels,
-                    spec.leak_weighted,
-                    bounds=spec.baselines.hb_lb,
-                )
+            def one_block(trials, cfg_b=cfg_b, lay=lay, views=views):
+                draw = _draw(cfg_b, lay, spec.seed, trials)
+                return [_view(draw, view_lay, users, *view_args) for _, view_lay, users, _ in views]
 
-            n_excluded = 0
-            for geo in _map_blocks(one_block, n_trials, workers):
-                kept = geo.excluded == 0
-                n_excluded += int(np.count_nonzero(~kept))
-                # one SNR's fields at a time: memory stays that of one block
-                for snr in snrs:
-                    fields = _evaluate(geo, _power(cfg_b, snr), cfg_b.noise_var)
-                    accs[snr].add({name: value[kept] for name, value in fields.items()})
+            accs = [{snr: _Accumulator(len(vl.user)) for snr in snrs} for _, vl, _, snrs in views]
+            n_excluded = [0] * len(views)
+            for geos in _map_blocks(one_block, n_trials, workers):
+                for i, geo in enumerate(geos):
+                    kept = geo.excluded == 0
+                    n_excluded[i] += int(np.count_nonzero(~kept))
+                    # one SNR's fields at a time: memory stays that of one view of a block
+                    for snr, acc in accs[i].items():
+                        fields = _evaluate(geo, _power(cfg, snr), cfg.noise_var)
+                        acc.add({name: value[kept] for name, value in fields.items()})
 
-            effective = n_trials - n_excluded
-            if effective == 0:
-                raise DegenerateScenario(
-                    f"all {n_trials} trials excluded for system {label}"
-                    + (f", sweep value {value}" if value is not None else "")
-                )
-
-            for snr in snrs:
-                sweep_value = snr if value is None else value
-                cell_trials[(label, sweep_value)] = effective
-                excluded[(label, sweep_value)] = n_excluded
-                cells.append(accs[snr].cell(label, sweep_value, lay))
+            for (value, view_lay, _, _), view_accs, n_exc in zip(views, accs, n_excluded):
+                effective = n_trials - n_exc
+                if effective == 0:
+                    raise DegenerateScenario(
+                        f"all {n_trials} trials excluded for system {label}"
+                        + (f", sweep value {value}" if value is not None else "")
+                    )
+                for snr, acc in view_accs.items():
+                    sweep_value = snr if value is None else value
+                    cell_trials[(label, sweep_value)] = effective
+                    excluded[(label, sweep_value)] = n_exc
+                    cells.append(acc.cell(label, sweep_value, view_lay))
 
     if spec.baselines.fd or spec.baselines.oma:
         cells.extend(_baseline_cells(spec, tasks, cell_trials))
@@ -710,8 +750,7 @@ def _baseline_cells(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultCell
     for system in ("fd", "oma"):
         if not getattr(spec.baselines, system):
             continue
-        for value, cfg, snrs in tasks:
-            lay = _Layout.of(cfg)
+        for value, cfg, lay, snrs in tasks:
             norms = [lay.c_beta_sq[s : s + m] for s, m in zip(lay.starts, lay.sizes)]
             sums = np.array([float(np.sum(cluster)) for cluster in norms])
             for snr in snrs:

@@ -1,11 +1,13 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hbnoma.channel import ClusterSpec, ScenarioConfig
-from hbnoma.errors import ConfigError, DegenerateScenario, UnknownPreset
+from hbnoma.cli import main as cli_main, spec_to_config
+from hbnoma.errors import ConfigError, DegenerateScenario, OutOfRange, TrialError, UnknownPreset
 from hbnoma.montecarlo import (
     CHUNK,
     Baselines,
@@ -115,6 +117,68 @@ def test_cluster_size_sweep_resizes_observed_cluster():
         assert sum(1 for r in rows if r.cluster == 1) == 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("leak_weighted", [True, False])
+@pytest.mark.parametrize("model_channels", [False, True])
+@pytest.mark.parametrize("hb_lb", [True, False])
+def test_cluster_size_sweep_cells_equal_one_size_runs(hb_lb, model_channels, leak_weighted, workers):
+    # the sweep draws each block once, at its largest size (given first here,
+    # not last), and views each size's users of it; an SNR run of the resized
+    # configuration draws and views all of its own users, so every cell must
+    # come out the same bit for bit
+    spec = small_spec(
+        sweep_name="cluster_size",
+        sweep_values=(4.0, 2.0, 3.0),
+        observe_cluster=1,  # cluster 2's users follow the resized cluster's
+        misalign_grid=(0.0, 3.0),
+        trials=CHUNK + 6,
+        leak_weighted=leak_weighted,
+        baselines=Baselines(hb_lb=hb_lb, model_channels=model_channels),
+    )
+    table = run_experiment(spec, workers=workers)
+    snr = TWO_CLUSTERS.snr_db
+    for size in spec.sweep_values:
+        ramp = ClusterSpec(10.0, tuple(-float(k) for k in range(int(size))))
+        alone = dataclasses.replace(
+            spec,
+            scenario=dataclasses.replace(TWO_CLUSTERS, clusters=(ramp, TWO_CLUSTERS.clusters[1])),
+            sweep_name="snr_db",
+            sweep_values=(snr,),
+            observe_cluster=None,
+        )
+        alone = run_experiment(alone, workers=workers)
+        for label in ("b0", "b3"):
+            want = [dataclasses.replace(r, sweep_value=size) for r in alone.rows_for(label)]
+            assert table.rows_for(label, size) == want
+            assert table.excluded[(label, size)] == alone.excluded[(label, snr)]
+            assert table.cell_trials[(label, size)] == alone.cell_trials[(label, snr)]
+
+
+def test_out_of_range_angle_in_a_size_sweep_fails_the_run(tmp_path):
+    # with one-wavelength spacing the normalized angle reaches 2 sin(aod)
+    # (20 deg + up to 15 deg); at size 1 cluster 1 is its anchor alone, so
+    # only the users that size 3 adds can leave [-1, 1]
+    scenario = ScenarioConfig(
+        clusters=(ClusterSpec(20.0, (0.0,)), ClusterSpec(-20.0, (0.0,))),
+        spacing_over_wavelength=1.0,
+        misalign_deg=15.0,
+    )
+    spec = small_spec(
+        scenario=scenario,
+        sweep_name="cluster_size",
+        sweep_values=(1.0, 3.0),
+        observe_cluster=1,
+        trials=40,
+    )
+    run_experiment(dataclasses.replace(spec, sweep_values=(1.0,)))
+    with pytest.raises(TrialError) as info:
+        run_experiment(spec)
+    assert isinstance(info.value.__cause__, OutOfRange)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(spec_to_config(spec)))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+
+
 def test_n_bs_sweep_changes_array():
     spec = small_spec(sweep_name="n_bs", sweep_values=(16.0, 64.0), trials=5)
     table = run_experiment(spec)
@@ -155,6 +219,8 @@ def test_spec_validation():
     for grid in ((3.0, 3.0), (3.0, 3.0000001)):
         with pytest.raises(ConfigError, match="label"):
             validate_spec(small_spec(misalign_grid=grid))
+    with pytest.raises(ConfigError, match="misalignment"):
+        validate_spec(small_spec(misalign_grid=(3.0, -1.0)))
     # array and cluster sizes count antennas and users
     for name, extra in (("n_bs", {}), ("cluster_size", {"observe_cluster": 1})):
         for bad in (8.5, 2.7, 0.0, -4.0):
