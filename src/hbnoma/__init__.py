@@ -33,7 +33,6 @@ from .montecarlo import (
     BlockMetrics,
     ExperimentSpec,
     ResultCell,
-    ResultRow,
     ResultTable,
     TrialMetrics,
     block_metrics,
@@ -56,7 +55,6 @@ __all__ = [
     "Baselines",
     "ExperimentSpec",
     "ResultCell",
-    "ResultRow",
     "ResultTable",
     "TrialMetrics",
     "BlockMetrics",

@@ -154,12 +154,6 @@ def config_to_spec(doc: dict) -> ExperimentSpec:
         kw["baselines"] = Baselines(**doc["baselines"])
     spec = ExperimentSpec(scenario=scenario, **kw)
     validate_spec(spec)
-    if spec.observe_cluster is not None and not (
-        1 <= spec.observe_cluster <= len(scenario.clusters)
-    ):
-        raise ConfigError(
-            f"observe_cluster={spec.observe_cluster} outside 1..{len(scenario.clusters)}"
-        )
     return spec
 
 
@@ -242,19 +236,15 @@ def write_table_csv(table: ResultTable, path: str) -> None:
 def sum_rates(table: ResultTable) -> dict[tuple[str, float], float]:
     """Per (system, sweep value) sum rate; the OMA reference is frame averaged."""
     totals: dict[tuple[str, float], float] = {}
-    counts: dict[tuple[str, float], int] = {}
     for cell in table.cells:
-        key = (cell.system, cell.sweep_value)
-        total = totals.get(key, 0.0)
+        total = 0.0
         # one add at a time in row order: a pairwise np.sum would round differently
         for rate in cell.rate_exact.tolist():
             total += rate
-        totals[key] = total
-        counts[key] = counts.get(key, 0) + len(cell.rate_exact)
-    return {
-        key: total / counts[key] if key[0] == "oma" else total
-        for key, total in totals.items()
-    }
+        totals[(cell.system, cell.sweep_value)] = (
+            total / len(cell.user) if cell.system == "oma" else total
+        )
+    return totals
 
 
 def write_sum_rate_csv(table: ResultTable, path: str) -> None:
@@ -277,12 +267,12 @@ def write_manifest(table: ResultTable, out_path: str, command: str, workers: int
         "systems": list(table.systems),
         "cells": [
             {
-                "system": system,
-                "sweep_value": value,
-                "trials": trials,
-                "excluded": table.excluded.get((system, value), 0),
+                "system": cell.system,
+                "sweep_value": cell.sweep_value,
+                "trials": cell.trials,
+                "excluded": cell.excluded,
             }
-            for (system, value), trials in sorted(table.cell_trials.items())
+            for cell in sorted(table.cells, key=lambda cell: (cell.system, cell.sweep_value))
         ],
         "config": spec_to_config(table.spec),
     }

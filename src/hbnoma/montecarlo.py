@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,30 +83,18 @@ class ExperimentSpec:
             )
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    system: str
-    sweep_value: float
-    cluster: int
-    user: int
-    rate_exact: float
-    rate_lb_thm1: float | None
-    rate_lb_thm2: float | None
-    rate_gap: float | None
-    gap_ub_thm3: float | None
-    rho_mean: float | None
-    stderr: float
-    trials: int
-
-
-# the per-user value columns of a result row; a cell holds NaN where a row holds None
+# the per-user value columns of a cell; NaN where a value does not exist
 _BOUND_COLUMNS = ("rate_lb_thm1", "rate_lb_thm2", "rate_gap", "gap_ub_thm3", "rho_mean")
 VALUE_COLUMNS = ("rate_exact", *_BOUND_COLUMNS, "stderr")
 
 
 @dataclass(frozen=True, eq=False)
 class ResultCell:
-    """Per-user columns of one (system, sweep value) cell's rows; NaN where a row holds None."""
+    """One (system, sweep value) cell: per-user columns and the cell's draw counts.
+
+    trials counts the draws averaged, excluded the draws left out; both are
+    per cell, not per user. A deterministic cell (fd, oma) has 1 and 0.
+    """
 
     system: str
     sweep_value: float
@@ -119,40 +108,15 @@ class ResultCell:
     rho_mean: np.ndarray
     stderr: np.ndarray
     trials: int
-
-    def rows(self) -> list[ResultRow]:
-        """The cell's rows in order, None where a column holds NaN."""
-        columns = [
-            [None if v != v else v for v in getattr(self, name).tolist()]
-            for name in VALUE_COLUMNS
-        ]
-        return [
-            ResultRow(self.system, self.sweep_value, ci, ui, *values, self.trials)
-            for ci, ui, *values in zip(self.cluster.tolist(), self.user.tolist(), *columns)
-        ]
+    excluded: int
 
 
 @dataclass
 class ResultTable:
-    """Cells in output order; rows and rows_for are a per-row view of them."""
+    """The cells of a run, in output order."""
 
     spec: ExperimentSpec
     cells: list[ResultCell]
-    cell_trials: dict[tuple[str, float], int]
-    excluded: dict[tuple[str, float], int]
-
-    @property
-    def rows(self) -> list[ResultRow]:
-        return self.rows_for()
-
-    def rows_for(self, system: str | None = None, sweep_value: float | None = None):
-        return [
-            row
-            for cell in self.cells
-            if (system is None or cell.system == system)
-            and (sweep_value is None or cell.sweep_value == sweep_value)
-            for row in cell.rows()
-        ]
 
     @property
     def systems(self) -> tuple[str, ...]:
@@ -572,7 +536,7 @@ class _Accumulator:
             self.sum_gap_ub += np.where(applicable, fields["gap_ub_thm3"], 0.0).sum(axis=0)
             self.n_gap_ub += applicable.sum(axis=0)
 
-    def cell(self, system: str, sweep_value: float, lay: _Layout) -> ResultCell:
+    def cell(self, system: str, sweep_value: float, lay: _Layout, excluded: int) -> ResultCell:
         """The cell's per-user means, NaN where a field is absent, and the rate's stderr."""
         columns = dict.fromkeys(_BOUND_COLUMNS, np.full_like(self.mean, np.nan))
         for name, total in self.sums.items():
@@ -587,6 +551,7 @@ class _Accumulator:
             rate_exact=self.mean,
             stderr=self.stderr(),
             trials=self.n,
+            excluded=excluded,
             **columns,
         )
 
@@ -622,8 +587,6 @@ def _gain_ramp(size: int) -> tuple[float, ...]:
 
 def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> ScenarioConfig:
     idx = cluster_1based - 1
-    if not 0 <= idx < len(cfg.clusters):
-        raise ConfigError(f"observed cluster {cluster_1based} out of range")
     clusters = list(cfg.clusters)
     clusters[idx] = ClusterSpec(aod_deg=clusters[idx].aod_deg, gains_db=_gain_ramp(size))
     return replace(cfg, clusters=tuple(clusters))
@@ -636,8 +599,13 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("sweep values must be nonempty")
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
+    if spec.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {spec.seed}")
     if spec.sweep_name == "cluster_size" and spec.observe_cluster is None:
         raise ConfigError("cluster_size sweep needs observe_cluster")
+    n_clusters = len(spec.scenario.clusters)
+    if spec.observe_cluster is not None and not 1 <= spec.observe_cluster <= n_clusters:
+        raise ConfigError(f"observe_cluster={spec.observe_cluster} outside 1..{n_clusters}")
     if len(set(spec.sweep_values)) < len(spec.sweep_values):
         raise ConfigError(f"sweep values repeat: {spec.sweep_values}")
     if spec.sweep_name != "snr_db" and not all(
@@ -658,85 +626,99 @@ def validate_spec(spec: ExperimentSpec) -> None:
         )
 
 
+class _View(NamedTuple):
+    """One configuration's users of a drawn block and the cells they feed."""
+
+    layout: _Layout
+    users: np.ndarray | slice  # the configuration's users among the draw's
+    cells: list[tuple[float, float]]  # (sweep value, snr) of each cell
+
+
+def _draws(
+    spec: ExperimentSpec, base: ScenarioConfig
+) -> list[tuple[ScenarioConfig, _Layout, list[_View]]]:
+    """(config, layout, views) of each configuration the sweep draws."""
+
+    def whole(cfg, cells):
+        lay = _Layout.of(cfg)
+        return cfg, lay, [_View(lay, slice(None), cells)]
+
+    if spec.sweep_name == "snr_db":
+        # one view for every SNR: the per-user quantities are linear in the power
+        return [whole(base, [(v, v) for v in spec.sweep_values])]
+    if spec.sweep_name == "n_bs":
+        return [whole(replace(base, n_bs=int(v)), [(v, base.snr_db)]) for v in spec.sweep_values]
+    # drawn once at the largest size: a size's users are the other clusters'
+    # and the observed cluster's first, in flat order
+    observed = spec.observe_cluster
+    cfg = _with_cluster_size(base, observed, int(max(spec.sweep_values)))
+    lay = _Layout.of(cfg)
+    others = lay.cluster_of != observed - 1
+    views = [
+        _View(
+            _Layout.of(_with_cluster_size(base, observed, int(v))),
+            np.flatnonzero(others | (lay.user <= v)),
+            [(v, base.snr_db)],
+        )
+        for v in spec.sweep_values
+    ]
+    return [(cfg, lay, views)]
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run the experiment; deterministic for fixed (spec, seed) at any worker count."""
     validate_spec(spec)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = spec.misalign_grid if spec.misalign_grid is not None else (spec.scenario.misalign_deg,)
     base = replace(spec.scenario, misalign_deg=grid[0])  # the layouts ignore the misalignment
     multi = len(grid) > 1
-
-    # (value, config, layout, snr list) tasks; snr sweeps share geometry across values
-    if spec.sweep_name == "snr_db":
-        tasks = [(None, base, [float(v) for v in spec.sweep_values])]
-    elif spec.sweep_name == "n_bs":
-        tasks = [
-            (float(v), replace(base, n_bs=int(v)), [base.snr_db]) for v in spec.sweep_values
-        ]
-    else:
-        tasks = [
-            (float(v), _with_cluster_size(base, spec.observe_cluster, int(v)), [base.snr_db])
-            for v in spec.sweep_values
-        ]
-    tasks = [(value, cfg, _Layout.of(cfg), snrs) for value, cfg, snrs in tasks]
-
-    # geometry keys: (config, layout, views drawn from it); a view is
-    # (sweep value, layout, its users among the key's, snr list)
-    views = [(value, lay, slice(None), snrs) for value, _, lay, snrs in tasks]
-    if spec.sweep_name == "cluster_size":
-        # drawn once at the largest size: a size's users are the other
-        # clusters' and the observed cluster's first, in flat order
-        _, cfg, lay, _ = max(tasks, key=lambda task: task[0])
-        others = lay.cluster_of != spec.observe_cluster - 1
-        views = [(v, vl, np.flatnonzero(others | (lay.user <= v)), s) for v, vl, _, s in views]
-        keys = [(cfg, lay, views)]
-    else:
-        keys = [(cfg, lay, [view]) for (_, cfg, lay, _), view in zip(tasks, views)]
+    draws = _draws(spec, base)
 
     cells: list[ResultCell] = []
-    cell_trials: dict[tuple[str, float], int] = {}
-    excluded: dict[tuple[str, float], int] = {}
     view_args = (spec.baselines.model_channels, spec.leak_weighted, spec.baselines.hb_lb)
     for b in grid:
         label = _system_label(b, multi)
         n_trials = 1 if b == 0.0 and not spec.baselines.model_channels else spec.trials
-        for cfg, lay, views in keys:
+        for cfg, lay, views in draws:
             cfg_b = replace(cfg, misalign_deg=float(b))
 
             def one_block(trials, cfg_b=cfg_b, lay=lay, views=views):
                 draw = _draw(cfg_b, lay, spec.seed, trials)
-                return [_view(draw, view_lay, users, *view_args) for _, view_lay, users, _ in views]
+                return [_view(draw, view.layout, view.users, *view_args) for view in views]
 
-            accs = [{snr: _Accumulator(len(vl.user)) for snr in snrs} for _, vl, _, snrs in views]
-            n_excluded = [0] * len(views)
+            accs = [[_Accumulator(len(view.layout.user)) for _ in view.cells] for view in views]
             for geos in _map_blocks(one_block, n_trials, workers):
-                for i, geo in enumerate(geos):
+                for view, geo, view_accs in zip(views, geos, accs):
                     kept = geo.excluded == 0
-                    n_excluded[i] += int(np.count_nonzero(~kept))
                     # one SNR's fields at a time: memory stays that of one view of a block
-                    for snr, acc in accs[i].items():
+                    for (_, snr), acc in zip(view.cells, view_accs):
                         fields = _evaluate(geo, _power(cfg, snr), cfg.noise_var)
                         acc.add({name: value[kept] for name, value in fields.items()})
 
-            for (value, view_lay, _, _), view_accs, n_exc in zip(views, accs, n_excluded):
-                effective = n_trials - n_exc
-                if effective == 0:
-                    raise DegenerateScenario(
-                        f"all {n_trials} trials excluded for system {label}"
-                        + (f", sweep value {value}" if value is not None else "")
-                    )
-                for snr, acc in view_accs.items():
-                    sweep_value = snr if value is None else value
-                    cell_trials[(label, sweep_value)] = effective
-                    excluded[(label, sweep_value)] = n_exc
-                    cells.append(acc.cell(label, sweep_value, view_lay))
+            for view, view_accs in zip(views, accs):
+                for (value, _), acc in zip(view.cells, view_accs):
+                    if acc.n == 0:
+                        raise DegenerateScenario(
+                            f"all {n_trials} trials excluded for system {label}, sweep value {value}"
+                        )
+                    cells.append(acc.cell(label, value, view.layout, n_trials - acc.n))
 
-    if spec.baselines.fd or spec.baselines.oma:
-        cells.extend(_baseline_cells(spec, tasks, cell_trials))
-    return ResultTable(spec=spec, cells=cells, cell_trials=cell_trials, excluded=excluded)
+    cells += [
+        _baseline_cell(system, cfg, view.layout, value, _power(cfg, snr))
+        for system in ("fd", "oma")
+        if getattr(spec.baselines, system)
+        for cfg, _, views in draws
+        for view in views
+        for value, snr in view.cells
+    ]
+    return ResultTable(spec=spec, cells=cells)
 
 
-def _baseline_cells(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultCell]:
-    """Deterministic cells of the fully-digital and frame-averaged OMA references.
+def _baseline_cell(
+    system: str, cfg: ScenarioConfig, lay: _Layout, sweep_value: float, p_total: float
+) -> ResultCell:
+    """A deterministic cell of the fully-digital or frame-averaged OMA reference.
 
     Neither depends on the angles. Fully digital: exact zero-forcing with
     unit-power columns leaves each user the SINR
@@ -746,46 +728,35 @@ def _baseline_cells(spec: ExperimentSpec, tasks, cell_trials) -> list[ResultCell
     each user alone at full power on its own beam, SINR P c |beta|^2 / sigma^2;
     the frame average divides the rates by the user count later.
     """
-    cells: list[ResultCell] = []
-    for system in ("fd", "oma"):
-        if not getattr(spec.baselines, system):
-            continue
-        for value, cfg, lay, snrs in tasks:
-            norms = [lay.c_beta_sq[s : s + m] for s, m in zip(lay.starts, lay.sizes)]
-            sums = np.array([float(np.sum(cluster)) for cluster in norms])
-            for snr in snrs:
-                sweep_value = snr if value is None else value
-                cell_trials[(system, sweep_value)] = 1
-                p_total = _power(cfg, snr)
-                if system == "fd":
-                    sinr = [0.0] * len(lay.user)
-                    cluster_power = p_total * sums / float(np.sum(sums))
-                    for start, cluster, p_n in zip(lay.starts, norms, cluster_power):
-                        p = p_n / len(cluster)
-                        earlier = 0.0  # power of the users decoded so far, summed in order
-                        for idx in np.argsort(-cluster, kind="stable"):
-                            gain = cluster[idx]
-                            sinr[start + idx] = p * gain / (earlier * gain + cfg.noise_var)
-                            earlier += p
-                else:
-                    # (P c) |beta|^2, not P (c |beta|^2): the two differ in the
-                    # last bit unless c is a power of two
-                    sinr = (p_total * float(cfg.n_bs * cfg.n_ue)) * lay.beta_sq / cfg.noise_var
-                # scalar log1p: numpy's differs in the last bit for some values
-                rate = np.array([math.log1p(x) / LOG2 for x in sinr])
-                cells.append(
-                    ResultCell(
-                        system,
-                        sweep_value,
-                        lay.cluster_of + 1,
-                        lay.user,
-                        rate_exact=rate,
-                        stderr=np.zeros(len(rate)),
-                        trials=1,
-                        **dict.fromkeys(_BOUND_COLUMNS, np.full(len(rate), np.nan)),
-                    )
-                )
-    return cells
+    if system == "fd":
+        norms = [lay.c_beta_sq[s : s + m] for s, m in zip(lay.starts, lay.sizes)]
+        sums = np.array([float(np.sum(cluster)) for cluster in norms])
+        sinr = [0.0] * len(lay.user)
+        cluster_power = p_total * sums / float(np.sum(sums))
+        for start, cluster, p_n in zip(lay.starts, norms, cluster_power):
+            p = p_n / len(cluster)
+            earlier = 0.0  # power of the users decoded so far, summed in order
+            for idx in np.argsort(-cluster, kind="stable"):
+                gain = cluster[idx]
+                sinr[start + idx] = p * gain / (earlier * gain + cfg.noise_var)
+                earlier += p
+    else:
+        # (P c) |beta|^2, not P (c |beta|^2): the two differ in the
+        # last bit unless c is a power of two
+        sinr = (p_total * float(cfg.n_bs * cfg.n_ue)) * lay.beta_sq / cfg.noise_var
+    # scalar log1p: numpy's differs in the last bit for some values
+    rate = np.array([math.log1p(x) / LOG2 for x in sinr])
+    return ResultCell(
+        system,
+        sweep_value,
+        lay.cluster_of + 1,
+        lay.user,
+        rate_exact=rate,
+        stderr=np.zeros(len(rate)),
+        trials=1,
+        excluded=0,
+        **dict.fromkeys(_BOUND_COLUMNS, np.full(len(rate), np.nan)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -211,10 +211,13 @@ def test_criterion_03_aligned_bound_soundness():
 def test_criterion_04_two_user_curves():
     t0 = time.perf_counter()
     table = run_experiment(preset("fig3a"))
-    fd = {(r.sweep_value, r.user): r.rate_exact for r in table.rows_for(system="fd")}
-    hb = list(table.rows_for(system="hb"))
-    worst_fd = max(abs(r.rate_exact - fd[(r.sweep_value, r.user)]) for r in hb)
-    worst_weak = max(abs(r.rate_exact - r.rate_lb_thm1) for r in hb if r.user == 2)
+    fd = {c.sweep_value: c for c in table.cells if c.system == "fd"}
+    hb = [c for c in table.cells if c.system == "hb"]
+    assert all(np.array_equal(c.user, fd[c.sweep_value].user) for c in hb)
+    worst_fd = max(float(np.max(np.abs(c.rate_exact - fd[c.sweep_value].rate_exact))) for c in hb)
+    worst_weak = max(
+        float(np.max(np.abs(c.rate_exact - c.rate_lb_thm1)[c.user == 2])) for c in hb
+    )
     elapsed = time.perf_counter() - t0
     ok = worst_fd <= 0.1 and worst_weak <= 0.05 and elapsed < 60.0
     _check(
@@ -227,10 +230,15 @@ def test_criterion_04_two_user_curves():
 
 def test_criterion_05_bound_tightens_with_array_size():
     table = run_experiment(preset("fig3b"))
-    rows = sorted(
-        (r for r in table.rows_for(system="hb") if r.user == 1), key=lambda r: r.sweep_value
+    gaps = sorted(
+        (
+            (c.sweep_value, gap)
+            for c in table.cells
+            if c.system == "hb"
+            for gap in (c.rate_exact - c.rate_lb_thm1)[c.user == 1].tolist()
+        ),
+        key=lambda pair: pair[0],
     )
-    gaps = [(r.sweep_value, r.rate_exact - r.rate_lb_thm1) for r in rows]
     shrinking = all(gaps[i + 1][1] <= gaps[i][1] + 1e-12 for i in range(len(gaps) - 1))
     tail = max(g for n_bs, g in gaps if n_bs > 60)
     ok = shrinking and tail < 0.1
@@ -347,15 +355,13 @@ def test_criterion_07_second_user_rate_targets(weak_user_series):
 
 
 def test_criterion_08_loss_grows_with_cluster_size(fig4c_table):
-    sizes = sorted({r.sweep_value for r in fig4c_table.rows})
+    sizes = sorted({c.sweep_value for c in fig4c_table.cells})
 
     def observed_sum(system, size):
-        rows = [
-            r
-            for r in fig4c_table.rows_for(system=system, sweep_value=size)
-            if r.cluster == 3
+        (cell,) = [
+            c for c in fig4c_table.cells if c.system == system and c.sweep_value == size
         ]
-        return sum(r.rate_exact for r in rows)
+        return sum(cell.rate_exact[cell.cluster == 3].tolist())
 
     losses = {
         b: [observed_sum("b0", s) - observed_sum(b, s) for s in sizes] for b in ("b3", "b6")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -117,6 +118,29 @@ def test_run_trials_and_seed_overrides(tmp_path):
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["config"]["trials"] == 3
     assert manifest["config"]["seed"] == 99
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig4a", "fig4b", "fig4c", "fig4d"])
+def test_manifest_config_reproduces_the_table(tmp_path, name):
+    first = str(tmp_path / "first.csv")
+    assert main(["figure", name, "--out", first, "--trials", "3", "--seed", "7"]) == 0
+    manifest = json.loads(open(first + ".manifest.json").read())
+    assert config_to_spec(manifest["config"]) == dataclasses.replace(preset(name), trials=3, seed=7)
+    again = str(tmp_path / "again.csv")
+    assert main(["run", "--config", write_config(tmp_path, manifest["config"]), "--out", again]) == 0
+    assert open(again, "rb").read() == open(first, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--workers", "0"], ["--workers", "-4"]], ids=" ".join
+)
+def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, VALID_CONFIG)
+    for argv in (["figure", "fig3a"], ["run", "--config", cfg]):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out), *flags]) == 1
+        assert flags[0][2:] in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hbnoma.cli import main as cli_main, spec_to_config
 from hbnoma.errors import ConfigError, DegenerateScenario, OutOfRange, TrialError, UnknownPreset
 from hbnoma.montecarlo import (
     CHUNK,
+    VALUE_COLUMNS,
     Baselines,
     ExperimentSpec,
     preset,
@@ -42,64 +43,99 @@ def small_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+def cell_of(table, system, sweep_value):
+    (cell,) = [c for c in table.cells if c.system == system and c.sweep_value == sweep_value]
+    return cell
+
+
+def cells_of(table, system=None, sweep_value=None):
+    return [
+        c
+        for c in table.cells
+        if system in (None, c.system) and sweep_value in (None, c.sweep_value)
+    ]
+
+
+def assert_cells_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.system, a.sweep_value, a.trials, a.excluded) == (
+            b.system,
+            b.sweep_value,
+            b.trials,
+            b.excluded,
+        )
+        for name in ("cluster", "user", *VALUE_COLUMNS):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_row_count_invariant():
     table = run_experiment(small_spec())
-    assert len(table.rows) == 2 * 5  # |sweep| * total users
+    assert sum(len(c.user) for c in table.cells) == 2 * 5  # |sweep| * total users
     assert table.systems == ("hb",)
-    assert all(r.trials == 30 for r in table.rows)
+    assert all(c.trials == 30 for c in table.cells)
 
 
 def test_single_aligned_trial_matches_pipeline_call():
     cfg = dataclasses.replace(TWO_CLUSTERS, misalign_deg=0.0)
     table = run_experiment(small_spec(scenario=cfg, sweep_values=(10.0,), trials=1))
     metrics = trial_metrics(cfg, seed=7, trial=0, snr_db=10.0)
-    for i, row in enumerate(table.rows):
-        assert row.rate_exact == metrics.rate_exact[i]
-        assert row.rate_lb_thm1 == metrics.rate_lb_thm1[i]
-        assert row.rate_lb_thm2 == metrics.rate_lb_thm2[i]
-        assert row.stderr == 0.0
+    (cell,) = table.cells
+    np.testing.assert_array_equal(cell.rate_exact, metrics.rate_exact)
+    np.testing.assert_array_equal(cell.rate_lb_thm1, metrics.rate_lb_thm1)
+    np.testing.assert_array_equal(cell.rate_lb_thm2, metrics.rate_lb_thm2)
+    assert np.all(cell.stderr == 0.0)
 
 
 def test_aligned_run_collapses_to_one_trial():
     cfg = dataclasses.replace(TWO_CLUSTERS, misalign_deg=0.0)
     table = run_experiment(small_spec(scenario=cfg, trials=500))
-    assert all(r.trials == 1 for r in table.rows)
-    assert all(r.rho_mean == 1.0 for r in table.rows)
-    assert all(abs(r.rate_gap) < 1e-12 for r in table.rows)
+    assert all(c.trials == 1 for c in table.cells)
+    assert all(np.all(c.rho_mean == 1.0) for c in table.cells)
+    assert all(np.all(np.abs(c.rate_gap) < 1e-12) for c in table.cells)
 
 
 def test_worker_counts_agree_exactly():
     spec = small_spec(trials=70)
     serial = run_experiment(spec, workers=1)
     threaded = run_experiment(spec, workers=8)
-    assert serial.rows == threaded.rows
+    assert_cells_equal(serial.cells, threaded.cells)
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_worker_count_below_one_is_rejected(workers):
+    with pytest.raises(ConfigError, match="workers"):
+        run_experiment(small_spec(trials=3), workers=workers)
 
 
 def test_misalign_grid_labels_systems():
     spec = small_spec(misalign_grid=(0.0, 3.0), trials=10)
     table = run_experiment(spec)
     assert table.systems == ("b0", "b3")
-    assert all(r.trials == 1 for r in table.rows_for(system="b0"))
-    assert all(r.trials == 10 for r in table.rows_for(system="b3"))
+    assert all(c.trials == 1 for c in cells_of(table, "b0"))
+    assert all(c.trials == 10 for c in cells_of(table, "b3"))
 
 
 def test_baseline_rows_are_deterministic():
     spec = small_spec(baselines=Baselines(fd=True, oma=True), trials=5)
     table = run_experiment(spec)
-    fd = table.rows_for(system="fd")
-    oma = table.rows_for(system="oma")
-    assert len(fd) == len(oma) == 10
-    assert all(r.rate_lb_thm1 is None and r.stderr == 0.0 and r.trials == 1 for r in fd)
+    fd = cells_of(table, "fd")
+    oma = cells_of(table, "oma")
+    assert sum(len(c.user) for c in fd) == sum(len(c.user) for c in oma) == 10
+    assert all(
+        np.all(np.isnan(c.rate_lb_thm1)) and np.all(c.stderr == 0.0) and c.trials == 1
+        for c in fd
+    )
     again = run_experiment(spec)
-    assert table.rows == again.rows
+    assert_cells_equal(table.cells, again.cells)
 
 
 def test_mean_rate_decreases_with_misalignment():
     narrow = run_experiment(small_spec(trials=200))
     wide_cfg = dataclasses.replace(TWO_CLUSTERS, misalign_deg=8.0)
     wide = run_experiment(small_spec(scenario=wide_cfg, trials=200))
-    total_narrow = sum(r.rate_exact for r in narrow.rows_for(sweep_value=20.0))
-    total_wide = sum(r.rate_exact for r in wide.rows_for(sweep_value=20.0))
+    total_narrow = sum(sum(c.rate_exact.tolist()) for c in cells_of(narrow, sweep_value=20.0))
+    total_wide = sum(sum(c.rate_exact.tolist()) for c in cells_of(wide, sweep_value=20.0))
     assert total_wide < total_narrow
 
 
@@ -112,9 +148,9 @@ def test_cluster_size_sweep_resizes_observed_cluster():
     )
     table = run_experiment(spec)
     for size in (2, 4):
-        rows = table.rows_for(sweep_value=float(size))
-        assert sum(1 for r in rows if r.cluster == 2) == size
-        assert sum(1 for r in rows if r.cluster == 1) == 2
+        cell = cell_of(table, "hb", float(size))
+        assert np.count_nonzero(cell.cluster == 2) == size
+        assert np.count_nonzero(cell.cluster == 1) == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -148,10 +184,8 @@ def test_cluster_size_sweep_cells_equal_one_size_runs(hb_lb, model_channels, lea
         )
         alone = run_experiment(alone, workers=workers)
         for label in ("b0", "b3"):
-            want = [dataclasses.replace(r, sweep_value=size) for r in alone.rows_for(label)]
-            assert table.rows_for(label, size) == want
-            assert table.excluded[(label, size)] == alone.excluded[(label, snr)]
-            assert table.cell_trials[(label, size)] == alone.cell_trials[(label, snr)]
+            want = dataclasses.replace(cell_of(alone, label, snr), sweep_value=size)
+            assert_cells_equal([cell_of(table, label, size)], [want])
 
 
 def test_out_of_range_angle_in_a_size_sweep_fails_the_run(tmp_path):
@@ -182,8 +216,8 @@ def test_out_of_range_angle_in_a_size_sweep_fails_the_run(tmp_path):
 def test_n_bs_sweep_changes_array():
     spec = small_spec(sweep_name="n_bs", sweep_values=(16.0, 64.0), trials=5)
     table = run_experiment(spec)
-    small = sum(r.rate_exact for r in table.rows_for(sweep_value=16.0))
-    large = sum(r.rate_exact for r in table.rows_for(sweep_value=64.0))
+    small = sum(cell_of(table, "hb", 16.0).rate_exact.tolist())
+    large = sum(cell_of(table, "hb", 64.0).rate_exact.tolist())
     assert large > small
 
 
@@ -213,6 +247,12 @@ def test_spec_validation():
                 sweep_name="cluster_size", sweep_values=(3.0,), observe_cluster=9, trials=1
             )
         )
+    # checked for every sweep, not only the cluster_size sweep that resizes it
+    for observe in (9, 0):
+        with pytest.raises(ConfigError, match="observe_cluster"):
+            validate_spec(small_spec(observe_cluster=observe))
+    with pytest.raises(ConfigError, match="seed"):
+        validate_spec(small_spec(seed=-1))
     # a repeated value or system label would merge two cells' trials into one
     with pytest.raises(ConfigError, match="repeat"):
         validate_spec(small_spec(sweep_values=(10.0, 10.0)))
@@ -275,9 +315,9 @@ def test_baseline_cells_match_scalar_oracle(spec):
 def test_model_channel_run_reports_bounds():
     spec = small_spec(baselines=Baselines(model_channels=True), trials=40)
     table = run_experiment(spec)
-    for row in table.rows:
-        if row.user >= 2:
-            assert row.rate_lb_thm2 <= row.rate_exact + 1e-9
+    for cell in table.cells:
+        later = cell.user >= 2
+        assert np.all(cell.rate_lb_thm2[later] <= cell.rate_exact[later] + 1e-9)
 
 
 def test_unknown_preset():

@@ -1,7 +1,7 @@
-"""The columnar result table: its row view, the CSV writer and the sum rates.
+"""The columnar result table: its cells, the CSV writer and the sum rates.
 
 The oracle below is the row-by-row writer the column writer replaced:
-csv.writer over one ResultRow at a time, each value through _fmt.
+csv.writer over one (cell, user) row at a time, each value through _fmt.
 """
 
 import csv
@@ -9,6 +9,7 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hbnoma.channel import ClusterSpec, ScenarioConfig
@@ -17,7 +18,6 @@ from hbnoma.montecarlo import (
     VALUE_COLUMNS,
     Baselines,
     ExperimentSpec,
-    ResultRow,
     preset,
     run_experiment,
 )
@@ -82,7 +82,7 @@ def tables():
 
 
 def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+    return "" if math.isnan(value) else repr(float(value))
 
 
 def oracle_csv(table) -> bytes:
@@ -90,58 +90,39 @@ def oracle_csv(table) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HEADER)
-    for row in table.rows:
-        writer.writerow(
-            (
-                sid if row.system == "hb" else f"{sid}:{row.system}",
-                table.spec.sweep_name,
-                _fmt(row.sweep_value),
-                str(row.cluster),
-                str(row.user),
-                _fmt(row.rate_exact),
-                _fmt(row.rate_lb_thm1),
-                _fmt(row.rate_lb_thm2),
-                _fmt(row.rate_gap),
-                _fmt(row.gap_ub_thm3),
-                _fmt(row.rho_mean),
-                _fmt(row.stderr),
-                str(row.trials),
+    for cell in table.cells:
+        for u in range(len(cell.user)):
+            writer.writerow(
+                (
+                    sid if cell.system == "hb" else f"{sid}:{cell.system}",
+                    table.spec.sweep_name,
+                    _fmt(cell.sweep_value),
+                    str(int(cell.cluster[u])),
+                    str(int(cell.user[u])),
+                    *(_fmt(getattr(cell, name)[u]) for name in VALUE_COLUMNS),
+                    str(cell.trials),
+                )
             )
-        )
     return buf.getvalue().encode("utf-8")
 
 
-def rows_from_cells(table) -> list[ResultRow]:
-    rows = []
-    for cell in table.cells:
-        columns = [getattr(cell, name) for name in VALUE_COLUMNS]
-        for u in range(len(cell.user)):
-            values = [None if math.isnan(col[u]) else float(col[u]) for col in columns]
-            rows.append(
-                ResultRow(
-                    cell.system,
-                    cell.sweep_value,
-                    int(cell.cluster[u]),
-                    int(cell.user[u]),
-                    *values,
-                    cell.trials,
-                )
-            )
-    return rows
+def cells_of(table, system):
+    return [cell for cell in table.cells if cell.system == system]
 
 
 def test_tables_cover_every_writer_case(tables):
     grid, no_bounds, n_bs = tables["grid"], tables["no_bounds"], tables["n_bs"]
     assert grid.systems == ("b0", "b3", "fd", "oma")
     assert no_bounds.systems == ("hb", "fd")
-    hb = no_bounds.rows_for(system="hb")
-    assert all(r.rate_lb_thm1 is None and r.gap_ub_thm3 is None for r in hb)
-    assert all(r.rate_gap is not None and r.rho_mean is not None for r in hb)
+    hb = cells_of(no_bounds, "hb")
+    assert all(np.isnan(c.rate_lb_thm1).all() and np.isnan(c.gap_ub_thm3).all() for c in hb)
+    assert all(not np.isnan(c.rate_gap).any() and not np.isnan(c.rho_mean).any() for c in hb)
     # a first-decoded user has bounds but no Theorem 3 gap bound
-    first = [r for r in grid.rows_for(system="b3") if r.gap_ub_thm3 is None]
-    assert first and all(r.rate_lb_thm2 is not None for r in first)
-    assert any(r.gap_ub_thm3 is not None for r in grid.rows_for(system="b3"))
-    assert {r.sweep_value for r in n_bs.rows} == {8.0, 16.0}
+    b3 = cells_of(grid, "b3")
+    first = np.concatenate([c.rate_lb_thm2[np.isnan(c.gap_ub_thm3)] for c in b3])
+    assert first.size and not np.isnan(first).any()
+    assert any(not np.isnan(c.gap_ub_thm3).all() for c in b3)
+    assert {c.sweep_value for c in n_bs.cells} == {8.0, 16.0}
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -159,28 +140,14 @@ def test_n_bs_values_and_quoted_id_written_as_before(tables, tmp_path):
     assert lines[1].startswith('"n, ""bs""",n_bs,8.0,1,1,')
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_rows_are_a_view_of_the_cells(tables, name):
-    table = tables[name]
-    rebuilt = rows_from_cells(table)
-    assert table.rows == rebuilt
-    assert all(type(r.cluster) is int and type(r.rate_exact) is float for r in table.rows)
-    for system in table.systems:
-        for value in table.spec.sweep_values:
-            want = [r for r in rebuilt if r.system == system and r.sweep_value == value]
-            assert table.rows_for(system=system, sweep_value=value) == want
-    assert table.rows_for(sweep_value=table.spec.sweep_values[-1]) == [
-        r for r in rebuilt if r.sweep_value == table.spec.sweep_values[-1]
-    ]
-
-
 @pytest.mark.parametrize("name", ["grid", "fig5"])
 def test_sum_rates_add_in_row_order(tables, name):
     table = tables[name]
     totals, counts = {}, {}
-    for row in table.rows:
-        key = (row.system, row.sweep_value)
-        totals[key] = totals.get(key, 0.0) + row.rate_exact
-        counts[key] = counts.get(key, 0) + 1
+    for cell in table.cells:
+        key = (cell.system, cell.sweep_value)
+        for rate in cell.rate_exact.tolist():
+            totals[key] = totals.get(key, 0.0) + rate
+            counts[key] = counts.get(key, 0) + 1
     want = {k: t / counts[k] if k[0] == "oma" else t for k, t in totals.items()}
     assert sum_rates(table) == want
