@@ -12,14 +12,13 @@ import sys
 import time
 
 from hbnoma.cli import main as cli_main
-
-FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b", "fig4c", "fig4d", "fig5")
+from hbnoma.montecarlo import PRESETS
 
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out", help="directory for the CSV tables")
-    parser.add_argument("--only", nargs="*", choices=FIGURES, help="subset of figures")
+    parser.add_argument("--only", nargs="*", choices=PRESETS, help="subset of figures")
     parser.add_argument("--trials", type=int, help="override preset trial counts")
     parser.add_argument("--seed", type=int, help="override preset seeds")
     parser.add_argument("--workers", type=int, default=1)
@@ -27,7 +26,7 @@ def run(argv=None) -> int:
 
     out_dir = pathlib.Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ns.only or FIGURES:
+    for name in ns.only or PRESETS:
         args = ["figure", name, "--out", str(out_dir / f"{name}.csv")]
         if ns.trials is not None:
             args += ["--trials", str(ns.trials)]

@@ -22,8 +22,7 @@ import tempfile
 from pathlib import Path
 
 from hbnoma.cli import main as cli_main
-
-FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b", "fig4c", "fig4d", "fig5")
+from hbnoma.montecarlo import PRESETS
 
 
 def _sha(data: bytes) -> str:
@@ -38,11 +37,11 @@ def _cli(argv: list[str]) -> None:
 
 
 def digests(trials: int, seed: int, workers: int) -> list[tuple[str, str]]:
-    """(name, sha256) of each preset's CSV and manifest cells, in FIGURES order."""
+    """(name, sha256) of each preset's CSV and manifest cells, in PRESETS order."""
     common = ["--trials", str(trials), "--seed", str(seed), "--workers", str(workers)]
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [(name, ["figure", name]) for name in FIGURES]
+        runs = [(name, ["figure", name]) for name in PRESETS]
         config = str(Path(tmp) / "fig5.json")
         _cli(["figure", "fig5", "--dump-config", config])
         runs.append(("fig5-table", ["run", "--config", config]))

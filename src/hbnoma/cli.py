@@ -2,7 +2,7 @@
 
 Subcommands:
   run       execute an experiment described by a JSON config
-  figure    execute a named preset (fig3a, fig3b, fig4a-fig4d, fig5)
+  figure    execute a named figure preset
   validate  check a JSON config without running it
 
 Exit codes: 0 success, 1 configuration problem, 2 numerical failure.
@@ -19,10 +19,11 @@ import time
 from dataclasses import replace
 
 from . import __version__
-from .channel import ClusterSpec, ScenarioConfig, validate_config
+from .channel import ClusterSpec, ScenarioConfig
 from .errors import ConfigError, NumericalError
 from .montecarlo import (
     VALUE_COLUMNS,
+    PRESETS,
     Baselines,
     ExperimentSpec,
     ResultTable,
@@ -115,79 +116,33 @@ def _schema_check(doc) -> None:
 
 
 def config_to_spec(doc: dict) -> ExperimentSpec:
-    """Build a validated experiment spec from a parsed JSON config."""
+    """Build a validated experiment spec from a parsed JSON config.
+
+    The schema admits only the dataclasses' own keys, so they pass straight
+    through; only the nested objects and the sweep are built here.
+    """
     _schema_check(doc)
-    sc = doc["scenario"]
+    kw = dict(doc)
+    sc = kw.pop("scenario")
     clusters = tuple(
-        ClusterSpec(
-            aod_deg=float(c["aod_deg"]),
-            gains_db=tuple(float(g) for g in c["gains_db"]),
-        )
+        ClusterSpec(aod_deg=float(c["aod_deg"]), gains_db=tuple(map(float, c["gains_db"])))
         for c in sc["clusters"]
     )
-    scen_kw = {
-        k: sc[k]
-        for k in (
-            "n_bs",
-            "n_ue",
-            "n_rf",
-            "spacing_over_wavelength",
-            "misalign_deg",
-            "snr_db",
-            "noise_var",
-        )
-        if k in sc
-    }
-    scenario = ScenarioConfig(clusters=clusters, **scen_kw)
-    validate_config(scenario)
-
-    kw = {}
-    if "sweep" in doc:
-        kw["sweep_name"] = doc["sweep"]["name"]
-        kw["sweep_values"] = tuple(doc["sweep"]["values"])
-    for key in ("trials", "seed", "observe_cluster", "scenario_id", "leak_weighted"):
-        if key in doc:
-            kw[key] = doc[key]
-    if doc.get("misalign_grid") is not None:
-        kw["misalign_grid"] = tuple(doc["misalign_grid"])
-    if "baselines" in doc:
-        kw["baselines"] = Baselines(**doc["baselines"])
-    spec = ExperimentSpec(scenario=scenario, **kw)
+    if "sweep" in kw:
+        sweep = kw.pop("sweep")
+        kw.update(sweep_name=sweep["name"], sweep_values=sweep["values"])
+    if "baselines" in kw:
+        kw["baselines"] = Baselines(**kw["baselines"])
+    spec = ExperimentSpec(scenario=ScenarioConfig(**{**sc, "clusters": clusters}), **kw)
     validate_spec(spec)
     return spec
 
 
 def spec_to_config(spec: ExperimentSpec) -> dict:
     """Full JSON form of a spec; config_to_spec(spec_to_config(s)) == s."""
-    sc = spec.scenario
-    return {
-        "scenario_id": spec.scenario_id,
-        "scenario": {
-            "clusters": [
-                {"aod_deg": c.aod_deg, "gains_db": list(c.gains_db)} for c in sc.clusters
-            ],
-            "n_bs": sc.n_bs,
-            "n_ue": sc.n_ue,
-            "n_rf": sc.n_rf,
-            "spacing_over_wavelength": sc.spacing_over_wavelength,
-            "misalign_deg": sc.misalign_deg,
-            "snr_db": sc.snr_db,
-            "noise_var": sc.noise_var,
-        },
-        "sweep": {"name": spec.sweep_name, "values": list(spec.sweep_values)},
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "observe_cluster": spec.observe_cluster,
-        "misalign_grid": list(spec.misalign_grid) if spec.misalign_grid is not None else None,
-        "baselines": {
-            "hb_exact": spec.baselines.hb_exact,
-            "hb_lb": spec.baselines.hb_lb,
-            "fd": spec.baselines.fd,
-            "oma": spec.baselines.oma,
-            "model_channels": spec.baselines.model_channels,
-        },
-        "leak_weighted": spec.leak_weighted,
-    }
+    doc = json.loads(json.dumps(spec, default=vars))  # dataclasses as their fields
+    doc["sweep"] = {"name": doc.pop("sweep_name"), "values": doc.pop("sweep_values")}
+    return doc
 
 
 def load_config(path: str) -> ExperimentSpec:
@@ -350,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     fig_p = sub.add_parser("figure", help="run a named preset")
-    fig_p.add_argument(
-        "name", help="preset name: fig3a, fig3b, fig4a, fig4b, fig4c, fig4d, fig5"
-    )
+    fig_p.add_argument("name", choices=PRESETS, help="preset name")
     fig_p.add_argument("--out", help="output CSV path")
     fig_p.add_argument("--dump-config", help="write the preset's JSON config here")
     _common_run_args(fig_p)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -592,17 +592,35 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
     return replace(cfg, clusters=tuple(clusters))
 
 
+def _finite(value) -> bool:
+    """Whether every float of a spec field is finite, through nested dataclasses and tuples."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    if isinstance(value, tuple) or is_dataclass(value):
+        return all(map(_finite, value if isinstance(value, tuple) else vars(value).values()))
+    return True
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
+    # NaN or inf runs to empty rows or a raw numpy error, and no JSON manifest
+    # holds it; scenario fields come first, so the field is the one named
+    for name, value in {**vars(spec.scenario), **vars(spec)}.items():
+        if not _finite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    validate_config(spec.scenario)
     if spec.sweep_name not in SWEEP_NAMES:
         raise ConfigError(f"unknown sweep '{spec.sweep_name}'; expected one of {SWEEP_NAMES}")
     if len(spec.sweep_values) == 0:
         raise ConfigError("sweep values must be nonempty")
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
-    if spec.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {spec.seed}")
-    if spec.sweep_name == "cluster_size" and spec.observe_cluster is None:
-        raise ConfigError("cluster_size sweep needs observe_cluster")
+    if not 0 <= spec.seed < 2**64:  # counter_uniform keys on the seed's low 64 bits
+        raise ConfigError(f"seed must be in 0..2**64-1, got {spec.seed}")
+    if (spec.sweep_name == "cluster_size") != (spec.observe_cluster is not None):
+        raise ConfigError(
+            f"observe_cluster={spec.observe_cluster} on a {spec.sweep_name} sweep: "
+            "a cluster_size sweep needs it and any other sweep ignores it"
+        )
     n_clusters = len(spec.scenario.clusters)
     if spec.observe_cluster is not None and not 1 <= spec.observe_cluster <= n_clusters:
         raise ConfigError(f"observe_cluster={spec.observe_cluster} outside 1..{n_clusters}")
@@ -768,13 +786,8 @@ FIG4_AODS = (10.0, 30.0, 50.0, 65.0, 80.0)
 FIG4_OBSERVED = 3
 
 
-def _fig3_config(**overrides) -> ScenarioConfig:
-    defaults = dict(
-        clusters=(ClusterSpec(aod_deg=0.0, gains_db=(0.0, -2.0)),),
-        misalign_deg=0.0,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
+# two users on one aligned beam at the default 10 dB, both Fig. 3 sweeps
+_FIG3_SCENARIO = ScenarioConfig(clusters=(ClusterSpec(aod_deg=0.0, gains_db=(0.0, -2.0)),))
 
 
 def _fig4_config(size_observed: int, size_others: int, b: float, snr_db: float) -> ScenarioConfig:
@@ -797,65 +810,66 @@ def _fig5_config() -> ScenarioConfig:
     return ScenarioConfig(clusters=tuple(clusters), n_rf=8)
 
 
-def preset(name: str) -> ExperimentSpec:
-    """The configuration behind each source figure, reproduced as a sweep spec."""
-    if name == "fig3a":
-        return ExperimentSpec(
-            scenario=_fig3_config(),
+_PRESET_SPECS = {
+    spec.scenario_id: spec
+    for spec in (
+        ExperimentSpec(
+            scenario=_FIG3_SCENARIO,
             sweep_name="snr_db",
             sweep_values=SNR_GRID,
             baselines=Baselines(fd=True),
             scenario_id="fig3a",
-        )
-    if name == "fig3b":
-        return ExperimentSpec(
-            scenario=_fig3_config(snr_db=10.0),
+        ),
+        ExperimentSpec(
+            scenario=_FIG3_SCENARIO,
             sweep_name="n_bs",
             sweep_values=(8, 16, 24, 32, 48, 64, 80, 96, 112, 128),
             baselines=Baselines(fd=True),
             scenario_id="fig3b",
-        )
-    if name == "fig4a":
-        return ExperimentSpec(
+        ),
+        ExperimentSpec(
             scenario=_fig4_config(10, 5, b=3.0, snr_db=15.0),
             sweep_name="snr_db",
             sweep_values=SNR_GRID,
-            observe_cluster=FIG4_OBSERVED,
             scenario_id="fig4a",
-        )
-    if name == "fig4b":
-        return ExperimentSpec(
+        ),
+        ExperimentSpec(
             scenario=_fig4_config(10, 15, b=3.0, snr_db=15.0),
             sweep_name="snr_db",
             sweep_values=(15.0,),
-            observe_cluster=FIG4_OBSERVED,
             scenario_id="fig4b",
-        )
-    if name == "fig4c":
-        return ExperimentSpec(
+        ),
+        ExperimentSpec(
             scenario=_fig4_config(15, 15, b=3.0, snr_db=15.0),
             sweep_name="cluster_size",
             sweep_values=(5, 10, 15, 20, 25, 30, 35),
             observe_cluster=FIG4_OBSERVED,
             misalign_grid=(0.0, 3.0, 6.0),
             scenario_id="fig4c",
-        )
-    if name == "fig4d":
-        return ExperimentSpec(
+        ),
+        ExperimentSpec(
             scenario=_fig4_config(10, 15, b=3.0, snr_db=30.0),
             sweep_name="snr_db",
             sweep_values=(15.0, 30.0),
-            observe_cluster=FIG4_OBSERVED,
             misalign_grid=(3.0, 6.0),
             scenario_id="fig4d",
-        )
-    if name == "fig5":
-        return ExperimentSpec(
+        ),
+        ExperimentSpec(
             scenario=_fig5_config(),
             sweep_name="snr_db",
             sweep_values=SNR_GRID,
             misalign_grid=(0.0, 2.0, 6.0),
             baselines=Baselines(fd=True, oma=True),
             scenario_id="fig5",
-        )
-    raise UnknownPreset(f"no preset named '{name}'")
+        ),
+    )
+}
+PRESETS = tuple(_PRESET_SPECS)
+
+
+def preset(name: str) -> ExperimentSpec:
+    """The configuration behind each source figure (one of PRESETS), reproduced as a sweep spec."""
+    try:
+        return _PRESET_SPECS[name]
+    except KeyError:
+        raise UnknownPreset(f"no preset named '{name}'; expected one of {PRESETS}") from None

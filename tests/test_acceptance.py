@@ -18,7 +18,7 @@ from conftest import random_config
 from hbnoma import block_metrics, preset, run_experiment, trial_metrics
 from hbnoma.cli import sum_rates, write_table_csv
 from hbnoma.errors import DegenerateSubspace
-from hbnoma.montecarlo import CHUNK
+from hbnoma.montecarlo import CHUNK, FIG4_OBSERVED
 from scalar_oracle import (
     allocate_power,
     collinearity_sum,
@@ -84,7 +84,7 @@ def fig4a_weak_user():
     """
     spec = preset("fig4a")
     cfg = spec.scenario
-    observed = spec.observe_cluster
+    observed = FIG4_OBSERVED
     last = len(cfg.clusters[observed - 1].gains_db)
     sums = {snr: np.zeros(2) for snr in spec.sweep_values}
     kept = 0

@@ -13,7 +13,7 @@ from hbnoma.cli import (
     spec_to_config,
 )
 from hbnoma.errors import ConfigError
-from hbnoma.montecarlo import preset
+from hbnoma.montecarlo import PRESETS, preset
 
 VALID_CONFIG = {
     "scenario_id": "smoke",
@@ -38,7 +38,7 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def test_round_trip_all_presets():
-    for name in ("fig3a", "fig3b", "fig4a", "fig4b", "fig4c", "fig4d", "fig5"):
+    for name in PRESETS:
         spec = preset(name)
         assert config_to_spec(spec_to_config(spec)) == spec
 
@@ -141,6 +141,37 @@ def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys,
         assert main([*argv, "--out", str(out), *flags]) == 1
         assert flags[0][2:] in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("scenario", "noise_var"),
+        ("scenario", "snr_db"),
+        ("scenario", "misalign_deg"),
+        ("scenario", "spacing_over_wavelength"),
+        ("scenario", "clusters", 0, "aod_deg"),
+        ("scenario", "clusters", 1, "gains_db", 1),
+        ("sweep", "values", 1),
+        ("misalign_grid", 1),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, path, literal):
+    # Python's json reads all three literals (1e400 overflows to inf)
+    doc = json.loads(json.dumps(dict(VALID_CONFIG, misalign_grid=[0.0, 3.0])))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = 1234.5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace("1234.5", literal))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

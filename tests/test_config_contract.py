@@ -34,7 +34,12 @@ FLAWS = {
     "repeated sweep value": lambda doc, n: doc["sweep"]["values"].append(doc["sweep"]["values"][0]),
     "observe_cluster 0": lambda doc, n: doc.update(observe_cluster=0),
     "observe_cluster past the last cluster": lambda doc, n: doc.update(observe_cluster=n + 1),
+    "observe_cluster on another sweep": lambda doc, n: doc.update(
+        observe_cluster=1, sweep={"name": "snr_db", "values": [10.0]}
+    ),
     "negative seed": lambda doc, n: doc.update(seed=-1),
+    "seed 2**64": lambda doc, n: doc.update(seed=2**64),
+    "a non-finite number": lambda doc, n: doc["scenario"].update(snr_db=1e400),
     "shared system label": lambda doc, n: doc.update(misalign_grid=[2.5, 2.5]),
     "hb_exact false": lambda doc, n: doc.setdefault("baselines", {}).update(hb_exact=False),
 }
@@ -67,11 +72,9 @@ def configs(draw):
         "trials": draw(st.one_of(st.integers(1, 8), st.integers(CHUNK + 1, CHUNK + 6))),
         "seed": draw(st.integers(0, 1000)),
     }
-    observe = st.integers(1, n_clusters)
-    if name == "cluster_size":
-        doc["observe_cluster"] = draw(observe)
+    if name == "cluster_size":  # the only sweep that reads it
+        doc["observe_cluster"] = draw(st.integers(1, n_clusters))
     optional = {
-        "observe_cluster": st.one_of(st.none(), observe),
         "misalign_grid": st.one_of(
             st.none(),
             st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=1, max_size=3, unique=True),

@@ -247,12 +247,24 @@ def test_spec_validation():
                 sweep_name="cluster_size", sweep_values=(3.0,), observe_cluster=9, trials=1
             )
         )
-    # checked for every sweep, not only the cluster_size sweep that resizes it
     for observe in (9, 0):
         with pytest.raises(ConfigError, match="observe_cluster"):
-            validate_spec(small_spec(observe_cluster=observe))
-    with pytest.raises(ConfigError, match="seed"):
-        validate_spec(small_spec(seed=-1))
+            validate_spec(small_spec(sweep_name="cluster_size", observe_cluster=observe))
+    # only a cluster_size sweep reads it: on any other sweep it would do nothing
+    with pytest.raises(ConfigError, match="observe_cluster"):
+        validate_spec(small_spec(observe_cluster=1))
+    # the counter RNG keys on the seed's low 64 bits: 2**64 would draw as seed 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            validate_spec(small_spec(seed=seed))
+    validate_spec(small_spec(seed=2**64 - 1))
+    # NaN or inf would run to empty rows, and no JSON manifest could hold it
+    for bad in (
+        small_spec(sweep_values=(10.0, math.nan)),
+        small_spec(scenario=dataclasses.replace(TWO_CLUSTERS, noise_var=math.inf)),
+    ):
+        with pytest.raises(ConfigError, match="finite"):
+            validate_spec(bad)
     # a repeated value or system label would merge two cells' trials into one
     with pytest.raises(ConfigError, match="repeat"):
         validate_spec(small_spec(sweep_values=(10.0, 10.0)))

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from hbnoma.montecarlo import PRESETS
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "preset_digests.py"
 _spec = importlib.util.spec_from_file_location("preset_digests", SCRIPT)
 preset_digests = importlib.util.module_from_spec(_spec)
@@ -11,7 +13,7 @@ def test_digests_of_every_preset(capsys):
     assert preset_digests.main(["--trials", "2", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = [line.split()[0] for line in lines]
-    tables = list(preset_digests.FIGURES) + ["fig5-table"]
+    tables = list(PRESETS) + ["fig5-table"]
     assert names == [f"{t}.{kind}" for t in tables for kind in ("csv", "cells")]
     digests = dict(line.split() for line in lines)
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from hbnoma.montecarlo import PRESETS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -16,12 +18,12 @@ def _load(name):
 def test_make_figures_writes_every_preset(tmp_path, capsys):
     make_figures = _load("make_figures")
     assert make_figures.run(["--trials", "2", "--out-dir", str(tmp_path)]) == 0
-    for name in make_figures.FIGURES:
+    for name in PRESETS:
         assert (tmp_path / f"{name}.csv").stat().st_size > 0
         assert (tmp_path / f"{name}.csv.manifest.json").is_file()
     lines = capsys.readouterr().out.splitlines()
     done = [line.split(":")[0] for line in lines if ": wrote " in line]
-    assert done == list(make_figures.FIGURES)
+    assert done == list(PRESETS)
 
 
 def test_bound_tightness_prints_every_user(capsys):
