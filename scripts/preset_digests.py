@@ -6,6 +6,8 @@ prints one `name sha256` line per written CSV and one per manifest `cells`
 block (trials and exclusions per cell; the rest of a manifest holds wall
 time). fig5's `figure` command writes the sum-rate CSV; its per-user table,
 with the fd and oma rows, is written from the dumped config as `fig5-table`.
+No preset sets `model_channels`, so `fig4c-model` and `fig5-model` run the
+dumped configs of fig4c and fig5 with it set.
 Two checkouts wrote the same bytes when their outputs do not differ:
 
     python3 scripts/preset_digests.py --trials 20 --seed 1 > new.txt
@@ -36,15 +38,25 @@ def _cli(argv: list[str]) -> None:
         raise SystemExit(f"hbnoma {' '.join(argv)} exited {code}")
 
 
+def _dump(tmp: str, name: str, model_channels: bool = False) -> str:
+    """Path of preset name's dumped config, with baselines.model_channels set as given."""
+    path = Path(tmp) / f"{name}-{model_channels}.json"
+    _cli(["figure", name, "--dump-config", str(path)])
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config["baselines"]["model_channels"] = model_channels
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
 def digests(trials: int, seed: int, workers: int) -> list[tuple[str, str]]:
     """(name, sha256) of each preset's CSV and manifest cells, in PRESETS order."""
     common = ["--trials", str(trials), "--seed", str(seed), "--workers", str(workers)]
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(name, ["figure", name]) for name in PRESETS]
-        config = str(Path(tmp) / "fig5.json")
-        _cli(["figure", "fig5", "--dump-config", config])
-        runs.append(("fig5-table", ["run", "--config", config]))
+        runs.append(("fig5-table", ["run", "--config", _dump(tmp, "fig5")]))
+        for name in ("fig4c", "fig5"):
+            runs.append((f"{name}-model", ["run", "--config", _dump(tmp, name, True)]))
         for name, argv in runs:
             csv_path = str(Path(tmp) / f"{name}.csv")
             _cli(argv + ["--out", csv_path] + common)

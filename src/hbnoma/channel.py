@@ -16,21 +16,27 @@ every draw is independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
 
 ANGLE_SLACK = 1e-12
+CACHE_SIZE = 64  # configurations whose per-configuration arrays are kept
 
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Static description of one cluster: beam AoD and per-user gains in dB."""
+    """One cluster: beam AoD and per-user gains in dB, held as floats so equal ones hash equal."""
 
     aod_deg: float
     gains_db: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "aod_deg", float(self.aod_deg))
+        object.__setattr__(self, "gains_db", tuple(map(float, self.gains_db)))
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,21 @@ def gain_db_to_beta(gain_db: float) -> complex:
     return complex(10.0 ** (gain_db / 20.0), 0.0)
 
 
+def _finite(value) -> bool:
+    """Whether every float of a config field is finite, through nested dataclasses and tuples."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    if isinstance(value, tuple) or is_dataclass(value):
+        return all(map(_finite, value if isinstance(value, tuple) else vars(value).values()))
+    return True
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError unless draws can be made from the configuration."""
+    # NaN or inf passes the range checks below and ends in NaN rates or a numpy error
+    for name, value in vars(cfg).items():
+        if not _finite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     n = len(cfg.clusters)
     if n == 0:
         raise ConfigError("configuration has no clusters")
@@ -108,8 +127,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"cluster {idx} has no users")
         if abs(cluster.aod_deg) >= 90.0:
             raise ConfigError(f"cluster {idx} AoD {cluster.aod_deg} deg outside (-90, 90)")
-        if not all(math.isfinite(g) for g in cluster.gains_db):
-            raise ConfigError(f"cluster {idx} has non-finite gains")
 
 
 def first_user_index(gains_db) -> int:
@@ -143,6 +160,16 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> 31)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _user_keys(clusters: tuple[ClusterSpec, ...]) -> tuple[np.ndarray, ...]:
+    """0-based (cluster, user), base AoD and anchor mask of every user, in flat order."""
+    sizes = [len(c.gains_db) for c in clusters]
+    cluster = np.repeat(np.arange(len(clusters)), sizes)
+    user = np.arange(len(cluster)) - np.cumsum([0] + sizes[:-1], dtype=np.int64)[cluster]
+    first = np.array([first_user_index(c.gains_db) for c in clusters], dtype=np.int64)
+    return cluster, user, np.repeat([c.aod_deg for c in clusters], sizes), user == first[cluster]
+
+
 def user_angles(cfg: ScenarioConfig, seed: int, trials) -> tuple[np.ndarray, np.ndarray]:
     """AoDs in degrees and normalized angles of every user for a block of trials.
 
@@ -152,21 +179,13 @@ def user_angles(cfg: ScenarioConfig, seed: int, trials) -> tuple[np.ndarray, np.
     is the cluster AoD plus an offset uniform on [-b, b] degrees, drawn by
     counter_uniform from the key (seed, trial, cluster, user).
     """
-    cluster_idx, user_idx, base, anchor = [], [], [], []
-    for ci, cluster in enumerate(cfg.clusters):
-        first = first_user_index(cluster.gains_db)
-        for ui in range(len(cluster.gains_db)):
-            cluster_idx.append(ci)
-            user_idx.append(ui)
-            base.append(cluster.aod_deg)
-            anchor.append(ui == first)
+    cluster, user, base, anchor = _user_keys(cfg.clusters)
     trials = np.asarray(trials, dtype=np.uint64).reshape(-1, 1)
-    base = np.array(base)
     b = cfg.misalign_deg
     if b == 0.0:
         aod = np.broadcast_to(base, (len(trials), len(base)))
     else:
-        u = counter_uniform(seed, trials, np.array(cluster_idx), np.array(user_idx))
+        u = counter_uniform(seed, trials, cluster, user)
         aod = np.where(anchor, base, base + (-b + 2.0 * b * u))
     phi = 2.0 * cfg.spacing_over_wavelength * np.sin(np.radians(aod))
     return aod, phi

@@ -124,10 +124,7 @@ def config_to_spec(doc: dict) -> ExperimentSpec:
     _schema_check(doc)
     kw = dict(doc)
     sc = kw.pop("scenario")
-    clusters = tuple(
-        ClusterSpec(aod_deg=float(c["aod_deg"]), gains_db=tuple(map(float, c["gains_db"])))
-        for c in sc["clusters"]
-    )
+    clusters = tuple(ClusterSpec(**c) for c in sc["clusters"])
     if "sweep" in kw:
         sweep = kw.pop("sweep")
         kw.update(sweep_name=sweep["name"], sweep_values=sweep["values"])

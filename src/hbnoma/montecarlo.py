@@ -3,33 +3,37 @@
 A trial draws one scenario realization, designs the precoder, allocates power
 and evaluates exact rates and all bounds. One engine evaluates a block of
 trials at once, in closed form over (trials, users, clusters) arrays, in two
-stages. The draw stage (angles, kernel, Gram eigenvalues and inverse, F_BB)
-never reads the user gains, so a cluster_size sweep draws each block once, at
-its largest size: the counter RNG keys on (cluster, user) and the observed
-cluster's anchor is its user 1 at every size, so every size's draws are a
-subset of the largest's. The view stage then computes, per sweep value on
-that value's users, everything that depends on the norms. Every per-user
-quantity is linear in the total power, so an SNR sweep shares one view of each
-block and rescales. Blocks of CHUNK trials are independent work items; they
-are reduced in trial order, making the output bit-identical for any worker
-count.
+stages. The draw stage (angles, kernel, Gram eigenvalues and inverse, F_BB,
+and each user's rho, kernel norm and beam gains) sees a user only through its
+angle, gain and anchor, so a cluster_size sweep draws each block once, at its
+largest size: the counter RNG keys on (cluster, user), the gain ramp gives
+user k the same gain at every size and the observed cluster's anchor is its
+user 1 at every size, so every size's rows are rows of the largest's. The view
+stage then gathers each sweep value's rows and computes everything that
+depends on the power split. Every per-user quantity is linear in the total
+power, so an SNR sweep shares one view of each block and rescales. Blocks of
+CHUNK trials are independent work items; they are reduced in trial order,
+making the output bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import (
     ANGLE_SLACK,
+    CACHE_SIZE,
     ClusterSpec,
     ScenarioConfig,
+    _finite,
+    _user_keys,
     dirichlet_kernel,
-    first_user_index,
     gain_db_to_beta,
     user_angles,
     validate_config,
@@ -76,11 +80,9 @@ class ExperimentSpec:
     leak_weighted: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
+        object.__setattr__(self, "sweep_values", tuple(map(float, self.sweep_values)))
         if self.misalign_grid is not None:
-            object.__setattr__(
-                self, "misalign_grid", tuple(float(b) for b in self.misalign_grid)
-            )
+            object.__setattr__(self, "misalign_grid", tuple(map(float, self.misalign_grid)))
 
 
 # the per-user value columns of a cell; NaN where a value does not exist
@@ -135,35 +137,44 @@ _EXCLUSION_MESSAGES = {
 
 @dataclass(frozen=True)
 class _Layout:
-    """Flat user indexing of one configuration (cluster by cluster)."""
+    """Flat user indexing of one configuration (cluster by cluster), read-only arrays."""
 
     cluster_of: np.ndarray  # (U,) 0-based cluster of each user
     user: np.ndarray  # (U,) 1-based index inside its cluster
     anchors: np.ndarray  # (N,) flat index of each cluster's strongest user
+    own_anchor: np.ndarray  # (U,) flat index of each user's anchor
+    own_beam: np.ndarray  # (U,) flat index of each user's own beam in a (U, N) array
     starts: np.ndarray  # (N,) flat index of each cluster's first user
     sizes: np.ndarray  # (N,) users per cluster
     beta_sq: np.ndarray  # (U,) |beta|^2
     c_beta_sq: np.ndarray  # (U,) N_BS N_U |beta|^2
+    keep: np.ndarray  # (N, N, N) keep[s] zeroes row and column s of an (N, N) matrix
 
-    @classmethod
-    def of(cls, cfg: ScenarioConfig) -> "_Layout":
+    @staticmethod
+    @lru_cache(maxsize=CACHE_SIZE)
+    def of(cfg: ScenarioConfig) -> "_Layout":
+        """The layout of cfg, validated and built once per configuration."""
         validate_config(cfg)
-        sizes = np.array([len(c.gains_db) for c in cfg.clusters])
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        cluster_of = np.repeat(np.arange(len(sizes)), sizes)
-        user = np.arange(len(cluster_of)) - starts[cluster_of] + 1
-        beta_sq = np.array(
-            [abs(gain_db_to_beta(g)) ** 2 for cl in cfg.clusters for g in cl.gains_db]
-        )
-        return cls(
+        cluster_of, user, _, is_anchor = _user_keys(cfg.clusters)
+        n = len(cfg.clusters)
+        sizes = np.bincount(cluster_of, minlength=n)
+        anchors = np.flatnonzero(is_anchor)
+        beta_sq = np.array([abs(gain_db_to_beta(g)) ** 2 for c in cfg.clusters for g in c.gains_db])
+        lay = _Layout(
             cluster_of=cluster_of,
-            user=user,
-            anchors=starts + [first_user_index(cl.gains_db) for cl in cfg.clusters],
-            starts=starts,
+            user=user + 1,
+            anchors=anchors,
+            own_anchor=anchors[cluster_of],
+            own_beam=np.arange(len(cluster_of)) * n + cluster_of,
+            starts=np.concatenate(([0], np.cumsum(sizes)[:-1])),
             sizes=sizes,
             beta_sq=beta_sq,
             c_beta_sq=float(cfg.n_bs * cfg.n_ue) * beta_sq,
+            keep=1.0 - np.maximum(np.eye(n)[:, :, None], np.eye(n)[:, None, :]),
         )
+        for array in vars(lay).values():
+            array.flags.writeable = False
+        return lay
 
 
 @dataclass
@@ -188,7 +199,7 @@ class _Geometry:
 
 @dataclass
 class _Draw:
-    """The norm-free part of a block of draws: angles, kernel and precoder, (T, ...) arrays."""
+    """What a block of draws fixes before any power split, (T, ...) arrays."""
 
     trials: np.ndarray  # (T,)
     phi: np.ndarray  # (T, U) normalized angles
@@ -198,6 +209,11 @@ class _Draw:
     kappa_min: np.ndarray  # (T,)
     finv_diag: np.ndarray  # (T, N)
     f_bb: np.ndarray  # (T, N, N)
+    f_gram: np.ndarray  # (T, N, N) F_BB^H F_BB
+    k_user: np.ndarray  # (T, U) squared kernel row norms
+    rho: np.ndarray  # (T, U) misalignment factor
+    beam_gains: np.ndarray  # (T, U, N) |h^H F_BB|^2 of the kernel-row channels
+    own_gain: np.ndarray  # (T, U) each user's own-beam column of beam_gains
 
 
 def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials) -> _Draw:
@@ -206,15 +222,17 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials) -> _Draw:
     Every quantity is a function of the complex kernel
     K[t, u, n] = a^H(phi_first,n) a(phi_u) over the N cluster beams; the
     N_BS dimension is never formed. With H_bar square, the zero-forcing
-    stage reduces to F_BB = G^{-1} diag(1 / sqrt([G^{-1}]_nn)). Nothing here
-    reads the user gains, so a configuration whose users are a subset of
-    cfg's (with the same anchors) shares the whole stage: its kernel rows
-    are rows of this kernel and its Gram matrix and F_BB are these.
+    stage reduces to F_BB = G^{-1} diag(1 / sqrt([G^{-1}]_nn)). Each user's
+    row of rho, ||K_u||^2 and the beam gains depends only on that user's
+    angle, gain and anchor, so a configuration whose users are a subset of
+    cfg's (with the same anchors and gains) shares the whole stage: its
+    rows are rows of these, and its Gram matrix and F_BB are these.
     """
     trials = np.asarray(trials, dtype=np.int64)
     _, phi = user_angles(cfg, seed, trials)
     kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
-    gram = kern[:, lay.anchors, :].transpose(0, 2, 1)  # G[k, n] = a_k^H a_n
+    anchor_rows = kern[:, lay.anchors]
+    gram = anchor_rows.transpose(0, 2, 1)  # G[k, n] = a_k^H a_n
     eigs = np.linalg.eigvalsh(gram)
     singular = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > CONDITION_CAP * eigs[:, 0])
     # a singular draw is excluded; an identity Gram stands in for it so that
@@ -223,7 +241,26 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials) -> _Draw:
     finv_diag = np.diagonal(finv, axis1=1, axis2=2).real
     kappa_min = np.where(singular, 1.0, eigs[:, 0])
     f_bb = finv / np.sqrt(finv_diag)[:, None, :]
-    return _Draw(trials, phi, kern, gram, singular, kappa_min, finv_diag, f_bb)
+
+    k_user = _norm_sq(kern)
+    # rho: |<K_anchor, K_u>| over the norms, K_anchor the user's own anchor row
+    cross = kern @ anchor_rows.conj().transpose(0, 2, 1)
+    cross = cross.reshape(len(trials), -1)[:, lay.own_beam]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_user[:, lay.own_anchor]), 1.0)
+    rho = np.where(phi == phi[:, lay.own_anchor], 1.0, rho)
+    return _Draw(
+        trials, phi, kern, gram, singular, kappa_min, finv_diag, f_bb,
+        f_bb.conj().transpose(0, 2, 1) @ f_bb, k_user, rho, *_beam_gains(kern, f_bb, lay),
+    )
+
+
+def _beam_gains(chan: np.ndarray, f_bb: np.ndarray, lay: _Layout):
+    """|h^H F_BB|^2 of the effective channels sqrt(c_beta_sq) * chan, and its own-beam column."""
+    gains = np.abs(chan @ f_bb.conj())
+    gains *= gains
+    gains *= lay.c_beta_sq[:, None]
+    return gains, gains.reshape(len(gains), -1)[:, lay.own_beam]
 
 
 def _view(
@@ -232,11 +269,9 @@ def _view(
     """View stage: allocate one configuration's users of a drawn block.
 
     users indexes the configuration's users (laid out as lay) among the
-    draw's, slice(None) when they are all of them. Everything that depends
-    on the user norms is computed here, on (T, U) and (T, U, N) arrays of
-    this configuration's own shape: the angle range check, the norms and
-    rho, modeled channels, shares, decode positions, beam gains, the
-    kappa_max(S) stack and the exclusions other than a singular Gram.
+    draw's, slice(None) when they are all of them. The view gathers their
+    rows of the draw and computes the angle range check, modeled channels,
+    shares, decode positions, the kappa_max(S) stack and the exclusions.
     """
     n = len(lay.anchors)
     if model_channels and n < 2:
@@ -248,23 +283,11 @@ def _view(
         cause = OutOfRange(f"normalized angle {phi[t, u]} outside [-1, 1]")
         raise TrialError(int(draw.trials[t]), cause) from cause
 
-    kern, gram, f_bb = draw.kern[:, users], draw.gram, draw.f_bb
-    k_user = _norm_sq(kern)
-    k_anchor = k_user[:, lay.anchors]
-    raw_norms = lay.c_beta_sq * k_user
+    k_user, rho = draw.k_user[:, users], draw.rho[:, users]
+    beam_gains, own_gain = draw.beam_gains[:, users], draw.own_gain[:, users]
+    norms = raw_norms = lay.c_beta_sq * k_user
     degenerate = ~np.all(raw_norms > 0.0, axis=1)
-    # rho: |<K_anchor, K_u>| over the norms, K_anchor the user's own anchor row
-    cross = kern @ kern[:, lay.anchors].conj().transpose(0, 2, 1)
-    cross = np.take_along_axis(cross, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_anchor[:, lay.cluster_of]), 1.0)
-    rho = np.where(phi == phi[:, lay.anchors[lay.cluster_of]], 1.0, rho)
-
-    # effective channels are sqrt(c_beta_sq) * chan; chan is the kernel row
-    # unless modeled channels replace the non-anchor users
-    chan = kern
     leak_collapsed = np.zeros(len(draw.trials), dtype=bool)
-    norms = raw_norms
     if model_channels:
         raw_sums = np.add.reduceat(raw_norms, lay.starts, axis=1)
         raw_shares = raw_sums / raw_sums.sum(axis=1, keepdims=True)
@@ -273,20 +296,21 @@ def _view(
         )
         # leak[t, n] = sum over l != n of weight_l * (anchor l's effective channel)
         others = weights[:, None, :] * (1.0 - np.eye(n))
-        leak = others @ gram.transpose(0, 2, 1)
+        leak = others @ draw.gram.transpose(0, 2, 1)
         leak_norm = np.linalg.norm(leak, axis=2)
         leak_collapsed = np.any(leak_norm < LEAK_NORM_FLOOR, axis=1)
         leak = leak / np.where(leak_collapsed[:, None], 1.0, leak_norm)[:, :, None]
+        kern = draw.kern[:, users]
         anchor_rows = kern[:, lay.anchors]
         anchor_hat = anchor_rows / np.linalg.norm(anchor_rows, axis=2, keepdims=True)
-        modeled = np.sqrt(k_user)[:, :, None] * (
+        chan = np.sqrt(k_user)[:, :, None] * (
             rho[:, :, None] * anchor_hat[:, lay.cluster_of]
             + np.sqrt(1.0 - rho**2)[:, :, None] * leak[:, lay.cluster_of]
         )
-        is_anchor = np.zeros(len(lay.cluster_of), dtype=bool)
-        is_anchor[lay.anchors] = True
-        chan = np.where(is_anchor[:, None], kern, modeled)
+        chan[:, lay.anchors] = anchor_rows  # the anchors keep their kernel rows
         norms = lay.c_beta_sq * _norm_sq(chan)
+        beam_gains, own_gain = _beam_gains(chan, draw.f_bb, lay)
+        del kern, chan
 
     sums = np.add.reduceat(norms, lay.starts, axis=1)
     with np.errstate(invalid="ignore"):  # 0/0 only on a draw excluded as degenerate
@@ -297,35 +321,27 @@ def _view(
     # so the k-th slot of a cluster is decode position k
     order = np.lexsort((-norms, np.broadcast_to(lay.cluster_of, norms.shape)))
     position = np.empty(norms.shape, dtype=np.int64)
-    np.put_along_axis(position, order, np.broadcast_to(lay.user, norms.shape), axis=1)
+    position[np.arange(len(order))[:, None], order] = lay.user
 
-    beam_gains = np.abs(chan @ f_bb.conj())  # |h^H F_BB| / sqrt(c_beta_sq)
-    beam_gains *= beam_gains
-    beam_gains *= lay.c_beta_sq[:, None]
-    own_gain = np.take_along_axis(beam_gains, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
     inter_gain_unit = (
         np.sum(beam_gains * share_cluster[:, None, :], axis=2)
         - share_cluster[:, lay.cluster_of] * own_gain
     )
-
-    del kern, chan  # the view's (T, U, N) arrays are done with; free them before the eigen stack
+    del beam_gains  # done with the (T, U, N) rows: drop them before the eigen stack
     kappa_s_unit = None
     if bounds:
         # kappa_max(S) per excluded cluster: the largest eigenvalue of the
         # power-weighted F_BB^H F_BB with that cluster's row and column zeroed
         root_p = np.sqrt(share_cluster)
-        f_gram = f_bb.conj().transpose(0, 2, 1) @ f_bb
-        weighted = root_p[:, :, None] * f_gram * root_p[:, None, :]
-        keep = 1.0 - np.maximum(np.eye(n)[:, :, None], np.eye(n)[:, None, :])
-        kappa_s_unit = np.linalg.eigvalsh(weighted[:, None] * keep)[..., -1]
+        weighted = root_p[:, :, None] * draw.f_gram * root_p[:, None, :]
+        kappa_s_unit = np.linalg.eigvalsh(weighted[:, None] * lay.keep)[..., -1]
 
-    excluded = np.select(
-        [draw.singular, degenerate, leak_collapsed], [_SINGULAR, _SCENARIO, _SUBSPACE], 0
-    )
+    excluded = np.where(degenerate, _SCENARIO, np.where(leak_collapsed, _SUBSPACE, 0))
+    excluded = np.where(draw.singular, _SINGULAR, excluded)
     return _Geometry(
         layout=lay,
         excluded=excluded,
-        gram=gram,
+        gram=draw.gram,
         position=position,
         share_user=share_user,
         share_earlier=(position - 1) * share_user,
@@ -333,7 +349,7 @@ def _view(
         inter_gain_unit=inter_gain_unit,
         rho=rho,
         k_user=k_user,
-        k_first=k_anchor,
+        k_first=k_user[:, lay.anchors],
         finv_diag=draw.finv_diag,
         kappa_min=draw.kappa_min,
         kappa_s_unit=kappa_s_unit,
@@ -387,6 +403,8 @@ def _evaluate(geo: _Geometry, p_total: float, noise_var: float) -> dict[str, np.
 
 def _power(cfg: ScenarioConfig, snr_db: float | None) -> float:
     snr = cfg.snr_db if snr_db is None else snr_db
+    if not math.isfinite(snr):
+        raise ConfigError(f"snr_db must be finite, got {snr}")
     return cfg.noise_var * 10.0 ** (snr / 10.0)
 
 
@@ -435,8 +453,9 @@ def block_metrics(
     with TrialError naming the lowest such trial.
     """
     lay = _Layout.of(cfg)
+    p_total = _power(cfg, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels, leak_weighted)
-    fields = _evaluate(geo, _power(cfg, snr_db), cfg.noise_var)
+    fields = _evaluate(geo, p_total, cfg.noise_var)
     kept = (geo.excluded == 0)[:, None]
     applicable = fields.pop("gap_ub_applicable") & kept
     fields = {name: np.where(kept, value, np.nan) for name, value in fields.items()}
@@ -463,6 +482,7 @@ def trial_metrics(
     The one-draw case of block_metrics; an excluded draw raises its exception.
     """
     lay = _Layout.of(cfg)
+    p_total = _power(cfg, snr_db)
     try:
         geo = _view(_draw(cfg, lay, seed, [trial]), lay, slice(None), model_channels, leak_weighted)
     except TrialError as exc:
@@ -472,7 +492,7 @@ def trial_metrics(
         raise _singular_gram_error(geo.gram[0])
     if code:
         raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
-    fields = _evaluate(geo, _power(cfg, snr_db), cfg.noise_var)
+    fields = _evaluate(geo, p_total, cfg.noise_var)
     return TrialMetrics(
         cluster=lay.cluster_of + 1,
         user=lay.user,
@@ -483,14 +503,10 @@ def trial_metrics(
 
 def _singular_gram_error(gram: np.ndarray) -> SingularMatrix:
     """The error for a Gram matrix over the condition cap, naming its most collinear pair."""
-    n = gram.shape[0]
-    pair = (1, 1)
-    if n > 1:
-        off = np.abs(gram - np.diag(np.diag(gram)))
-        i, j = np.unravel_index(np.argmax(off), off.shape)
-        pair = (min(i, j) + 1, max(i, j) + 1)
+    off = np.abs(gram - np.diag(np.diag(gram)))  # all zero for one cluster: pair (1, 1)
+    i, j = sorted(np.unravel_index(np.argmax(off), off.shape))
     return SingularMatrix(
-        f"analog beams of clusters {pair[0]} and {pair[1]} are nearly parallel "
+        f"analog beams of clusters {i + 1} and {j + 1} are nearly parallel "
         f"(Gram condition above {CONDITION_CAP:.0e})"
     )
 
@@ -592,22 +608,12 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
     return replace(cfg, clusters=tuple(clusters))
 
 
-def _finite(value) -> bool:
-    """Whether every float of a spec field is finite, through nested dataclasses and tuples."""
-    if isinstance(value, (float, np.floating)):
-        return math.isfinite(value)
-    if isinstance(value, tuple) or is_dataclass(value):
-        return all(map(_finite, value if isinstance(value, tuple) else vars(value).values()))
-    return True
-
-
 def validate_spec(spec: ExperimentSpec) -> None:
-    # NaN or inf runs to empty rows or a raw numpy error, and no JSON manifest
-    # holds it; scenario fields come first, so the field is the one named
-    for name, value in {**vars(spec.scenario), **vars(spec)}.items():
-        if not _finite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
     validate_config(spec.scenario)
+    # NaN or inf runs to empty rows or a raw numpy error, and no JSON manifest holds it
+    for name, value in vars(spec).items():
+        if name != "scenario" and not _finite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if spec.sweep_name not in SWEEP_NAMES:
         raise ConfigError(f"unknown sweep '{spec.sweep_name}'; expected one of {SWEEP_NAMES}")
     if len(spec.sweep_values) == 0:
@@ -802,12 +808,10 @@ def _fig4_config(size_observed: int, size_others: int, b: float, snr_db: float) 
 
 
 def _fig5_config() -> ScenarioConfig:
-    clusters = []
-    for i in range(8):
-        size = 4 + 2 * i
-        gains = tuple(float(g) for g in np.linspace(0.0, -18.0, size))
-        clusters.append(ClusterSpec(aod_deg=10.0 * (i + 1), gains_db=gains))
-    return ScenarioConfig(clusters=tuple(clusters), n_rf=8)
+    # cluster i + 1 at 10 (i + 1) deg, 4 + 2 i users spread over 0..-18 dB
+    gains = [np.linspace(0.0, -18.0, 4 + 2 * i) for i in range(8)]
+    clusters = tuple(ClusterSpec(10.0 * (i + 1), g) for i, g in enumerate(gains))
+    return ScenarioConfig(clusters=clusters, n_rf=8)
 
 
 _PRESET_SPECS = {

@@ -184,10 +184,13 @@ def test_user_bounds_wires_scalars_together():
         cluster_of=np.zeros(1, dtype=np.int64),
         user=one.astype(np.int64),
         anchors=np.zeros(1, dtype=np.int64),
+        own_anchor=np.zeros(1, dtype=np.int64),
+        own_beam=np.zeros(1, dtype=np.int64),
         starts=np.zeros(1, dtype=np.int64),
         sizes=one.astype(np.int64),
         beta_sq=one,
         c_beta_sq=100.0 * one,
+        keep=np.zeros((1, 1, 1)),
     )
     row = np.ones((1, 1))
     geo = _Geometry(

@@ -5,6 +5,7 @@ steering vectors and numpy.linalg; block_metrics must agree with it field by
 field.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from hbnoma import (
     block_metrics,
     counter_uniform,
     dirichlet_kernel,
+    preset,
     trial_metrics,
     user_angles,
 )
@@ -29,7 +31,7 @@ from hbnoma.errors import (
     SingularMatrix,
     TrialError,
 )
-from hbnoma.montecarlo import EXCLUSIONS
+from hbnoma.montecarlo import CHUNK, EXCLUSIONS, _draw, _draws, _Layout, _norm_sq
 from scalar_oracle import (
     FIELDS,
     design_precoder,
@@ -250,3 +252,109 @@ def test_dirichlet_kernel_matches_inner_product(x, y, n, where):
         x, y = -1.0 + 1e-3 * abs(x), 1.0 - 1e-3 * abs(y)
     direct = np.vdot(steering_vector(x, n), steering_vector(y, n))
     assert abs(dirichlet_kernel(np.array(y - x), n) - direct) <= 1e-14 * n
+
+
+FIG4A = dataclasses.replace(preset("fig4a").scenario, misalign_deg=3.0)
+
+
+def _fields_equal(a, b):
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+
+
+def _with_first_cluster(cfg, cluster):
+    return dataclasses.replace(cfg, clusters=(cluster,) + cfg.clusters[1:])
+
+
+@pytest.mark.parametrize(
+    "cfg, snr_db",
+    [
+        pytest.param(dataclasses.replace(FIG4A, misalign_deg=math.nan), 15.0, id="misalign_deg"),
+        pytest.param(
+            dataclasses.replace(FIG4A, spacing_over_wavelength=math.inf), 15.0, id="spacing"
+        ),
+        pytest.param(dataclasses.replace(FIG4A, noise_var=math.inf), 15.0, id="noise_var"),
+        pytest.param(dataclasses.replace(FIG4A, snr_db=math.nan), None, id="snr_db-field"),
+        pytest.param(
+            _with_first_cluster(FIG4A, ClusterSpec(math.nan, (0.0,))), 15.0, id="aod_deg"
+        ),
+        pytest.param(
+            _with_first_cluster(FIG4A, ClusterSpec(10.0, (0.0, -math.inf))), 15.0, id="gains_db"
+        ),
+        pytest.param(FIG4A, math.nan, id="snr_db-argument"),
+        pytest.param(FIG4A, math.inf, id="snr_db-argument-inf"),
+    ],
+)
+def test_non_finite_values_are_rejected(cfg, snr_db):
+    # unchecked, each ends in a raw LinAlgError or NaN rates; an invalid
+    # configuration never enters the layout cache, so every call raises
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="must be finite"):
+            trial_metrics(cfg, 1, 0, snr_db=snr_db)
+        with pytest.raises(ConfigError, match="must be finite"):
+            block_metrics(cfg, 1, [0, 1], snr_db=snr_db)
+
+
+def test_invalid_config_raises_on_every_call():
+    bad = dataclasses.replace(FIG4A, noise_var=-1.0)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="noise variance"):
+            trial_metrics(bad, 1, 0)
+        with pytest.raises(ConfigError, match="noise variance"):
+            block_metrics(bad, 1, [0])
+
+
+def test_cluster_spec_normalises_to_floats():
+    loose, strict = ClusterSpec(10, [0, -1]), ClusterSpec(10.0, (0.0, -1.0))
+    assert loose == strict and hash(loose) == hash(strict)
+    assert type(loose.aod_deg) is float and loose.gains_db == (0.0, -1.0)
+    _fields_equal(
+        trial_metrics(_with_first_cluster(FIG4A, loose), 2, 3, snr_db=15.0),
+        trial_metrics(_with_first_cluster(FIG4A, strict), 2, 3, snr_db=15.0),
+    )
+
+
+def test_equal_configs_share_one_cached_layout():
+    twin = ScenarioConfig(
+        clusters=tuple(ClusterSpec(c.aod_deg, list(c.gains_db)) for c in FIG4A.clusters),
+        misalign_deg=3.0,
+        snr_db=FIG4A.snr_db,
+    )
+    assert twin == FIG4A and twin is not FIG4A
+    other = dataclasses.replace(preset("fig4b").scenario, misalign_deg=2.0)
+    first = trial_metrics(FIG4A, 2, 3), block_metrics(FIG4A, 2, range(5))
+    trial_metrics(other, 2, 3), block_metrics(other, 2, range(5))
+    again = trial_metrics(twin, 2, 3), block_metrics(twin, 2, range(5))
+    assert _Layout.of(twin) is _Layout.of(FIG4A)
+    for a, b in zip(first, again):
+        _fields_equal(a, b)
+    # results never alias the cache's arrays in a writable way
+    with pytest.raises(ValueError):
+        first[0].user[0] = 9
+
+
+def test_draw_rows_equal_each_size_computed_alone():
+    # a cluster_size sweep computes k_user, rho and the beam gains once, on
+    # the largest size's users; each size's rows of them must be, bit for
+    # bit, what that size computes on its own kernel rows
+    spec = preset("fig4c")
+    ((cfg, lay, views),) = _draws(spec, spec.scenario)
+    draw = _draw(cfg, lay, spec.seed, range(CHUNK, 2 * CHUNK))
+    for view in views:
+        own = view.layout
+        kern = draw.kern[:, view.users]
+        k_user = _norm_sq(kern)
+        cross = kern @ kern[:, own.anchors].conj().transpose(0, 2, 1)
+        cross = np.take_along_axis(cross, own.cluster_of[None, :, None], axis=2)[:, :, 0]
+        k_anchor = k_user[:, own.anchors][:, own.cluster_of]
+        rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_anchor), 1.0)
+        phi = draw.phi[:, view.users]
+        rho = np.where(phi == phi[:, own.anchors[own.cluster_of]], 1.0, rho)
+        gains = np.abs(kern @ draw.f_bb.conj())
+        gains *= gains
+        gains *= own.c_beta_sq[:, None]
+        own_gain = np.take_along_axis(gains, own.cluster_of[None, :, None], axis=2)[:, :, 0]
+        np.testing.assert_array_equal(draw.k_user[:, view.users], k_user)
+        np.testing.assert_array_equal(draw.rho[:, view.users], rho)
+        np.testing.assert_array_equal(draw.beam_gains[:, view.users], gains)
+        np.testing.assert_array_equal(draw.own_gain[:, view.users], own_gain)

@@ -13,12 +13,15 @@ def test_digests_of_every_preset(capsys):
     assert preset_digests.main(["--trials", "2", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = [line.split()[0] for line in lines]
-    tables = list(PRESETS) + ["fig5-table"]
+    tables = list(PRESETS) + ["fig5-table", "fig4c-model", "fig5-model"]
     assert names == [f"{t}.{kind}" for t in tables for kind in ("csv", "cells")]
     digests = dict(line.split() for line in lines)
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
     # the same run writes fig5's sum-rate CSV and its per-user table
     assert digests["fig5.cells"] == digests["fig5-table.cells"]
     assert digests["fig5.csv"] != digests["fig5-table.csv"]
+    # modeled channels change the rates
+    assert digests["fig4c-model.csv"] != digests["fig4c.csv"]
+    assert digests["fig5-model.csv"] != digests["fig5-table.csv"]
     assert preset_digests.main(["--trials", "2", "--seed", "1", "--workers", "2"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
