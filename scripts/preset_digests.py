@@ -7,11 +7,21 @@ block (trials and exclusions per cell; the rest of a manifest holds wall
 time). fig5's `figure` command writes the sum-rate CSV; its per-user table,
 with the fd and oma rows, is written from the dumped config as `fig5-table`.
 No preset sets `model_channels`, so `fig4c-model` and `fig5-model` run the
-dumped configs of fig4c and fig5 with it set.
-Two checkouts wrote the same bytes when their outputs do not differ:
+dumped configs of fig4c and fig5 with it set. A first line
+`# numpy VERSION --trials T --seed S` names the run; the bytes depend on the
+numpy (and LAPACK) build, not on the worker count. Two checkouts wrote the
+same bytes when their outputs do not differ:
 
     python3 scripts/preset_digests.py --trials 20 --seed 1 > new.txt
     diff old.txt new.txt
+
+tests/test_preset_digests.py compares every line of two runs, recorded in
+tests/data/preset_digests.txt, at one and two workers. After a deliberate
+numerics change, or on another numpy, re-record that file by redirecting
+this script's output:
+
+    (python3 scripts/preset_digests.py --trials 2 --seed 1
+     python3 scripts/preset_digests.py --trials 200 --seed 5) > tests/data/preset_digests.txt
 """
 
 import argparse
@@ -22,6 +32,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from hbnoma.cli import main as cli_main
 from hbnoma.montecarlo import PRESETS
@@ -72,6 +84,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="seed of every preset")
     parser.add_argument("--workers", type=int, default=1, help="worker count (default 1)")
     ns = parser.parse_args(argv)
+    print(f"# numpy {np.__version__} --trials {ns.trials} --seed {ns.seed}")
     for name, digest in digests(ns.trials, ns.seed, ns.workers):
         print(f"{name} {digest}")
     return 0
