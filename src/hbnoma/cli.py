@@ -16,15 +16,14 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
-from .channel import ClusterSpec, ScenarioConfig
 from .errors import ConfigError, NumericalError
 from .montecarlo import (
     VALUE_COLUMNS,
     PRESETS,
-    Baselines,
     ExperimentSpec,
     ResultTable,
     preset,
@@ -36,101 +35,67 @@ CSV_COLUMNS = ("scenario_id", "sweep_name", "sweep_value", "cluster", "user", *V
 
 FIG5_COLUMNS = ("snr_db", "system", "sum_rate_bps_hz")
 
-_CLUSTER_SCHEMA = {
-    "type": "object",
-    "required": ["aod_deg", "gains_db"],
-    "additionalProperties": False,
-    "properties": {
-        "aod_deg": {"type": "number"},
-        "gains_db": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    },
-}
-
-_SCENARIO_SCHEMA = {
-    "type": "object",
-    "required": ["clusters"],
-    "additionalProperties": False,
-    "properties": {
-        "clusters": {"type": "array", "items": _CLUSTER_SCHEMA, "minItems": 1},
-        "n_bs": {"type": "integer", "minimum": 1},
-        "n_ue": {"type": "integer", "minimum": 1},
-        "n_rf": {"type": ["integer", "null"], "minimum": 1},
-        "spacing_over_wavelength": {"type": "number", "exclusiveMinimum": 0},
-        "misalign_deg": {"type": "number", "minimum": 0},
-        "snr_db": {"type": "number"},
-        "noise_var": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["scenario"],
-    "additionalProperties": False,
-    "properties": {
-        "scenario": _SCENARIO_SCHEMA,
-        "scenario_id": {"type": "string", "minLength": 1},
-        "sweep": {
-            "type": "object",
-            "required": ["name", "values"],
-            "additionalProperties": False,
-            "properties": {
-                "name": {"enum": ["snr_db", "n_bs", "cluster_size"]},
-                "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            },
-        },
-        "trials": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "observe_cluster": {"type": ["integer", "null"], "minimum": 1},
-        "misalign_grid": {
-            "type": ["array", "null"],
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 1,
-        },
-        "baselines": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "hb_exact": {"type": "boolean"},
-                "hb_lb": {"type": "boolean"},
-                "fd": {"type": "boolean"},
-                "oma": {"type": "boolean"},
-                "model_channels": {"type": "boolean"},
-            },
-        },
-        "leak_weighted": {"type": "boolean"},
-    },
-}
+# the JSON values each annotated type accepts: 8.0 is no int and true is no number
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
-def _schema_check(doc) -> None:
-    # imported here: about 4 MB and 75 ms that runs without a JSON config
-    # (figure presets, library use) never need
-    import jsonschema
+@dataclass(frozen=True)
+class _Sweep:
+    """A config's "sweep" object: ExperimentSpec's sweep_name and sweep_values."""
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        loc = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{loc}': {err.message}")
+    name: str
+    values: tuple[float, ...]
+
+
+# a config holds ExperimentSpec's fields, with the two sweep fields as one object
+_CONFIG_HINTS = get_type_hints(ExperimentSpec) | {"sweep": _Sweep}
+del _CONFIG_HINTS["sweep_name"], _CONFIG_HINTS["sweep_values"]
+
+
+def _typed(hint, value, path: str):
+    """value checked against a field's annotation; an object becomes its dataclass.
+
+    Only shapes and types are checked here: validate_spec holds the value rules.
+    """
+    if is_dataclass(hint):
+        return hint(**_fields(hint, value, path))
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (hint,) = set(args) - {type(None)}
+        return _typed(hint, value, path)
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        if type(value) is not list or not value:
+            raise ConfigError(f"config field '{path}': expected a nonempty array, got {value!r}")
+        return tuple(_typed(args[0], v, f"{path}.{i}") for i, v in enumerate(value))
+    if type(value) not in _JSON_TYPES[hint]:
+        raise ConfigError(f"config field '{path}': expected {hint.__name__}, got {value!r}")
+    return value
+
+
+def _fields(cls, doc, path: str, hints=None) -> dict:
+    """cls's keyword arguments from a JSON object whose keys are hints (default: cls's fields)."""
+    if type(doc) is not dict:
+        raise ConfigError(f"config field '{path or '<root>'}': expected an object, got {doc!r}")
+    hints = hints or get_type_hints(cls)
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in hints:
+            raise ConfigError(f"config field '{prefix}{key}': unknown field")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config field '{prefix}{f.name}': required")
+    return {key: _typed(hints[key], value, prefix + key) for key, value in doc.items()}
 
 
 def config_to_spec(doc: dict) -> ExperimentSpec:
-    """Build a validated experiment spec from a parsed JSON config.
-
-    The schema admits only the dataclasses' own keys, so they pass straight
-    through; only the nested objects and the sweep are built here.
-    """
-    _schema_check(doc)
-    kw = dict(doc)
-    sc = kw.pop("scenario")
-    clusters = tuple(ClusterSpec(**c) for c in sc["clusters"])
+    """Build a validated experiment spec from a parsed JSON config."""
+    kw = _fields(ExperimentSpec, doc, "", _CONFIG_HINTS)
     if "sweep" in kw:
         sweep = kw.pop("sweep")
-        kw.update(sweep_name=sweep["name"], sweep_values=sweep["values"])
-    if "baselines" in kw:
-        kw["baselines"] = Baselines(**kw["baselines"])
-    spec = ExperimentSpec(scenario=ScenarioConfig(**{**sc, "clusters": clusters}), **kw)
+        kw.update(sweep_name=sweep.name, sweep_values=sweep.values)
+    spec = ExperimentSpec(**kw)
     validate_spec(spec)
     return spec
 
@@ -238,6 +203,7 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
         spec = replace(spec, trials=args.trials)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    validate_spec(spec)  # a dumped config must load again
     return spec
 
 

@@ -59,7 +59,6 @@ SWEEP_NAMES = ("snr_db", "n_bs", "cluster_size")
 class Baselines:
     """Which curves an experiment produces besides the hybrid exact rates."""
 
-    hb_exact: bool = True
     hb_lb: bool = True
     fd: bool = False
     oma: bool = False
@@ -614,6 +613,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
     for name, value in vars(spec).items():
         if name != "scenario" and not _finite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+    if not spec.scenario_id:
+        raise ConfigError("scenario_id must be non-empty")
     if spec.sweep_name not in SWEEP_NAMES:
         raise ConfigError(f"unknown sweep '{spec.sweep_name}'; expected one of {SWEEP_NAMES}")
     if len(spec.sweep_values) == 0:
@@ -644,10 +645,6 @@ def validate_spec(spec: ExperimentSpec) -> None:
         labels = [_system_label(b, True) for b in spec.misalign_grid]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"misalign_grid values share a system label: {labels}")
-    if not spec.baselines.hb_exact:
-        raise ConfigError(
-            "baselines.hb_exact=false is not supported: every table reports the hybrid exact rate"
-        )
 
 
 class _View(NamedTuple):

@@ -62,6 +62,13 @@ def test_validate_rejects_schema_violation(tmp_path, capsys):
     assert "scenario.clusters" in err
 
 
+def test_validate_rejects_integral_float_for_an_int(tmp_path, capsys):
+    # 8.0 is a JSON number, not an integer: range(8.0) would fail in the run
+    path = write_config(tmp_path, dict(VALID_CONFIG, trials=8.0))
+    assert main(["validate", "--config", path]) == 1
+    assert "config field 'trials'" in capsys.readouterr().err
+
+
 def test_validate_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"scenario": ')
@@ -132,7 +139,9 @@ def test_manifest_config_reproduces_the_table(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--seed", "-1"], ["--workers", "0"], ["--workers", "-4"]], ids=" ".join
+    "flags",
+    [["--seed", "-1"], ["--workers", "0"], ["--workers", "-4"], ["--trials", "0"]],
+    ids=" ".join,
 )
 def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys, flags):
     cfg = write_config(tmp_path, VALID_CONFIG)
@@ -141,6 +150,11 @@ def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys,
         assert main([*argv, "--out", str(out), *flags]) == 1
         assert flags[0][2:] in capsys.readouterr().err
         assert not out.exists()
+    if flags[0] != "--workers":  # the dumped config holds the seed and trial count
+        dump = tmp_path / "fig3a.json"
+        assert main(["figure", "fig3a", "--dump-config", str(dump), *flags]) == 1
+        assert flags[0][2:] in capsys.readouterr().err
+        assert not dump.exists()
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])

@@ -8,11 +8,13 @@ CLI exit 1 without writing a table) or give one cell per (system, sweep
 value) whose counts, users, manifest entry and CSV bytes all agree.
 """
 
+import copy
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +44,12 @@ FLAWS = {
     "a non-finite number": lambda doc, n: doc["scenario"].update(snr_db=1e400),
     "shared system label": lambda doc, n: doc.update(misalign_grid=[2.5, 2.5]),
     "hb_exact false": lambda doc, n: doc.setdefault("baselines", {}).update(hb_exact=False),
+    # JSON numbers that only look like integers: range() and indexing would raise TypeError
+    "trials 8.0": lambda doc, n: doc.update(trials=8.0),
+    "observe_cluster 1.0": lambda doc, n: doc.update(
+        observe_cluster=1.0, sweep={"name": "cluster_size", "values": [2]}
+    ),
+    "n_bs true": lambda doc, n: doc["scenario"].update(n_bs=True),
 }
 
 
@@ -150,3 +158,31 @@ def test_config_is_rejected_or_runs_consistently(case):
         assert [
             (c["system"], c["sweep_value"], c["trials"], c["excluded"]) for c in manifest["cells"]
         ] == sorted((c.system, c.sweep_value, c.trials, c.excluded) for c in table.cells)
+
+
+# runs as it stands; each flaw turns it into a config that must be rejected
+FLAWLESS = {
+    "scenario": {
+        "clusters": [
+            {"aod_deg": -30.0, "gains_db": [0.0, -3.0]},
+            {"aod_deg": 30.0, "gains_db": [0.0]},
+        ],
+        "n_bs": N_BS,
+    },
+    "sweep": {"name": "cluster_size", "values": [1, 2]},
+    "observe_cluster": 1,
+    "trials": 2,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("flaw", sorted(FLAWS))
+def test_every_flaw_is_rejected(tmp_path, flaw):
+    # the fuzz test above draws only some of the flaws
+    config_to_spec(FLAWLESS)
+    doc = copy.deepcopy(FLAWLESS)
+    FLAWS[flaw](doc, len(doc["scenario"]["clusters"]))
+    with pytest.raises(ConfigError):
+        config_to_spec(doc)
+    code, out = run_cli(tmp_path, doc, 1)
+    assert code == 1 and not out.exists()

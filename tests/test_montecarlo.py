@@ -239,6 +239,9 @@ def test_spec_validation():
         validate_spec(small_spec(sweep_values=()))
     with pytest.raises(ConfigError):
         validate_spec(small_spec(trials=0))
+    # the CSV labels every row with it
+    with pytest.raises(ConfigError, match="scenario_id"):
+        validate_spec(small_spec(scenario_id=""))
     with pytest.raises(ConfigError):
         validate_spec(small_spec(sweep_name="cluster_size", observe_cluster=None))
     with pytest.raises(ConfigError):
