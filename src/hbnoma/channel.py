@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import ConfigError
 
 ANGLE_SLACK = 1e-12
 CACHE_SIZE = 64  # configurations whose per-configuration arrays are kept
+_type_hints = lru_cache(maxsize=None)(get_type_hints)  # evaluating annotations takes 0.2 ms
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,14 @@ def gain_db_to_beta(gain_db: float) -> complex:
     return complex(10.0 ** (gain_db / 20.0), 0.0)
 
 
+def _db_to_linear(value_db: float, name: str) -> float:
+    """10^(value_db / 10); ConfigError naming the field when that overflows a float."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{name} {value_db} dB overflows a float on the linear scale") from None
+
+
 def _finite(value) -> bool:
     """Whether every float of a config field is finite, through nested dataclasses and tuples."""
     if isinstance(value, (float, np.floating)):
@@ -103,12 +113,21 @@ def _finite(value) -> bool:
     return True
 
 
+def _check_fields(obj) -> None:
+    """Raise ConfigError for a NaN or inf in a field of obj, or a non-int in an int field."""
+    # NaN or inf ends in NaN rates or a numpy error, 8.0 in a TypeError; True would count as 1
+    for name, hint in _type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not is_dataclass(value) and not _finite(value):  # a nested config has its own check
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if int in (hint, *get_args(hint)) and value is not None and type(value) is not int:
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError unless draws can be made from the configuration."""
-    # NaN or inf passes the range checks below and ends in NaN rates or a numpy error
-    for name, value in vars(cfg).items():
-        if not _finite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    _check_fields(cfg)
+    _db_to_linear(cfg.snr_db, "snr_db")
     n = len(cfg.clusters)
     if n == 0:
         raise ConfigError("configuration has no clusters")
@@ -125,6 +144,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for idx, cluster in enumerate(cfg.clusters, start=1):
         if len(cluster.gains_db) == 0:
             raise ConfigError(f"cluster {idx} has no users")
+        for gain in cluster.gains_db:
+            _db_to_linear(gain, f"cluster {idx} gains_db entry")
         if abs(cluster.aod_deg) >= 90.0:
             raise ConfigError(f"cluster {idx} AoD {cluster.aod_deg} deg outside (-90, 90)")
 

@@ -1,19 +1,21 @@
 """Experiment runner: sweeps, misalignment averaging, baselines.
 
 A trial draws one scenario realization, designs the precoder, allocates power
-and evaluates exact rates and all bounds. One engine evaluates a block of
+and evaluates exact rates and all bounds. The precoder (Gram eigenvalues and
+inverse, F_BB) sees only the anchors, whose AoDs every draw keeps, so it is
+built once per configuration, with its layout. One engine evaluates a block of
 trials at once, in closed form over (trials, users, clusters) arrays, in two
-stages. The draw stage (angles, kernel, Gram eigenvalues and inverse, F_BB,
-and each user's rho, kernel norm and beam gains) sees a user only through its
-angle, gain and anchor, so a cluster_size sweep draws each block once, at its
-largest size: the counter RNG keys on (cluster, user), the gain ramp gives
-user k the same gain at every size and the observed cluster's anchor is its
-user 1 at every size, so every size's rows are rows of the largest's. The view
-stage then gathers each sweep value's rows and computes everything that
-depends on the power split. Every per-user quantity is linear in the total
-power, so an SNR sweep shares one view of each block and rescales. Blocks of
-CHUNK trials are independent work items; they are reduced in trial order,
-making the output bit-identical for any worker count.
+stages. The draw stage (angles, kernel, and each user's rho, kernel norm and
+beam gains) sees a user only through its angle, gain and anchor, so a
+cluster_size sweep draws each block once, at its largest size: the counter RNG
+keys on (cluster, user), the gain ramp gives user k the same gain at every
+size and the observed cluster's anchor is its user 1 at every size, so every
+size's rows are rows of the largest's. The view stage then gathers each sweep
+value's rows and computes everything that depends on the power split. Every
+per-user quantity is linear in the total power, so an SNR sweep shares one
+view of each block and rescales. Blocks of CHUNK trials are independent work
+items; they are reduced in trial order, making the output bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .channel import (
     CACHE_SIZE,
     ClusterSpec,
     ScenarioConfig,
-    _finite,
+    _check_fields,
+    _db_to_linear,
     _user_keys,
     dirichlet_kernel,
     gain_db_to_beta,
@@ -136,7 +139,7 @@ _EXCLUSION_MESSAGES = {
 
 @dataclass(frozen=True)
 class _Layout:
-    """Flat user indexing of one configuration (cluster by cluster), read-only arrays."""
+    """Flat user indexing (cluster by cluster) and precoder of one configuration, read-only arrays."""
 
     cluster_of: np.ndarray  # (U,) 0-based cluster of each user
     user: np.ndarray  # (U,) 1-based index inside its cluster
@@ -148,17 +151,31 @@ class _Layout:
     beta_sq: np.ndarray  # (U,) |beta|^2
     c_beta_sq: np.ndarray  # (U,) N_BS N_U |beta|^2
     keep: np.ndarray  # (N, N, N) keep[s] zeroes row and column s of an (N, N) matrix
+    gram: np.ndarray  # (N, N) G[k, n] = a_k^H a_n of the analog beams
+    singular: np.ndarray  # () G's condition number exceeds CONDITION_CAP
+    kappa_min: np.ndarray  # () G's smallest eigenvalue; 1.0 when singular
+    finv_diag: np.ndarray  # (N,) diagonal of G^{-1}
+    f_bb: np.ndarray  # (N, N) zero-forcing G^{-1} diag(1 / sqrt([G^{-1}]_nn))
+    f_gram: np.ndarray  # (N, N) F_BB^H F_BB
 
     @staticmethod
     @lru_cache(maxsize=CACHE_SIZE)
     def of(cfg: ScenarioConfig) -> "_Layout":
-        """The layout of cfg, validated and built once per configuration."""
+        """The layout and precoder of cfg, validated and built once per configuration."""
         validate_config(cfg)
         cluster_of, user, _, is_anchor = _user_keys(cfg.clusters)
         n = len(cfg.clusters)
         sizes = np.bincount(cluster_of, minlength=n)
         anchors = np.flatnonzero(is_anchor)
         beta_sq = np.array([abs(gain_db_to_beta(g)) ** 2 for c in cfg.clusters for g in c.gains_db])
+        phi = user_angles(cfg, 0, [0])[1][0, anchors]  # any seed and trial: anchors are fixed
+        gram = dirichlet_kernel(phi[:, None] - phi, cfg.n_bs).T
+        eigs = np.linalg.eigvalsh(gram)
+        singular = bool(eigs[0] <= 0.0 or eigs[-1] > CONDITION_CAP * eigs[0])
+        # an identity stands in for a singular Gram: all its draws are excluded
+        finv = np.linalg.inv(np.where(singular, np.eye(n), gram))
+        finv_diag = np.diagonal(finv).real
+        f_bb = finv / np.sqrt(finv_diag)
         lay = _Layout(
             cluster_of=cluster_of,
             user=user + 1,
@@ -170,6 +187,12 @@ class _Layout:
             beta_sq=beta_sq,
             c_beta_sq=float(cfg.n_bs * cfg.n_ue) * beta_sq,
             keep=1.0 - np.maximum(np.eye(n)[:, :, None], np.eye(n)[:, None, :]),
+            gram=gram,
+            singular=np.array(singular),
+            kappa_min=np.array(1.0 if singular else eigs[0]),
+            finv_diag=finv_diag,
+            f_bb=f_bb,
+            f_gram=f_bb.conj().T @ f_bb,
         )
         for array in vars(lay).values():
             array.flags.writeable = False
@@ -182,7 +205,6 @@ class _Geometry:
 
     layout: _Layout
     excluded: np.ndarray  # (T,) exclusion code
-    gram: np.ndarray  # (T, N, N)
     position: np.ndarray
     share_user: np.ndarray
     share_earlier: np.ndarray
@@ -191,8 +213,6 @@ class _Geometry:
     rho: np.ndarray
     k_user: np.ndarray
     k_first: np.ndarray  # (T, N)
-    finv_diag: np.ndarray  # (T, N)
-    kappa_min: np.ndarray  # (T,)
     kappa_s_unit: np.ndarray | None  # (T, N); None when the bounds are skipped
 
 
@@ -202,13 +222,6 @@ class _Draw:
 
     trials: np.ndarray  # (T,)
     phi: np.ndarray  # (T, U) normalized angles
-    kern: np.ndarray  # (T, U, N) kernel rows against the cluster anchors
-    gram: np.ndarray  # (T, N, N)
-    singular: np.ndarray  # (T,)
-    kappa_min: np.ndarray  # (T,)
-    finv_diag: np.ndarray  # (T, N)
-    f_bb: np.ndarray  # (T, N, N)
-    f_gram: np.ndarray  # (T, N, N) F_BB^H F_BB
     k_user: np.ndarray  # (T, U) squared kernel row norms
     rho: np.ndarray  # (T, U) misalignment factor
     beam_gains: np.ndarray  # (T, U, N) |h^H F_BB|^2 of the kernel-row channels
@@ -216,47 +229,30 @@ class _Draw:
 
 
 def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials) -> _Draw:
-    """Draw stage: synthesize and precode a block of draws in closed form.
+    """Draw stage: synthesize a block of draws and pass it through lay's precoder.
 
     Every quantity is a function of the complex kernel
     K[t, u, n] = a^H(phi_first,n) a(phi_u) over the N cluster beams; the
-    N_BS dimension is never formed. With H_bar square, the zero-forcing
-    stage reduces to F_BB = G^{-1} diag(1 / sqrt([G^{-1}]_nn)). Each user's
-    row of rho, ||K_u||^2 and the beam gains depends only on that user's
-    angle, gain and anchor, so a configuration whose users are a subset of
-    cfg's (with the same anchors and gains) shares the whole stage: its
-    rows are rows of these, and its Gram matrix and F_BB are these.
+    N_BS dimension is never formed. Each user's row of rho, ||K_u||^2 and
+    the beam gains depends only on that user's angle, gain and anchor, so a
+    configuration whose users are a subset of cfg's (with the same anchors
+    and gains) shares the whole stage: its rows are rows of these.
     """
     trials = np.asarray(trials, dtype=np.int64)
     _, phi = user_angles(cfg, seed, trials)
     kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
-    anchor_rows = kern[:, lay.anchors]
-    gram = anchor_rows.transpose(0, 2, 1)  # G[k, n] = a_k^H a_n
-    eigs = np.linalg.eigvalsh(gram)
-    singular = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > CONDITION_CAP * eigs[:, 0])
-    # a singular draw is excluded; an identity Gram stands in for it so that
-    # the block's arithmetic stays finite
-    finv = np.linalg.inv(np.where(singular[:, None, None], np.eye(len(lay.anchors)), gram))
-    finv_diag = np.diagonal(finv, axis1=1, axis2=2).real
-    kappa_min = np.where(singular, 1.0, eigs[:, 0])
-    f_bb = finv / np.sqrt(finv_diag)[:, None, :]
-
     k_user = _norm_sq(kern)
-    # rho: |<K_anchor, K_u>| over the norms, K_anchor the user's own anchor row
-    cross = kern @ anchor_rows.conj().transpose(0, 2, 1)
-    cross = cross.reshape(len(trials), -1)[:, lay.own_beam]
+    # rho: |<K_anchor, K_u>| over the norms; column n of conj(G) is anchor n's row, conjugated
+    cross = (kern @ lay.gram.conj()).reshape(len(trials), -1)[:, lay.own_beam]
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_user[:, lay.own_anchor]), 1.0)
     rho = np.where(phi == phi[:, lay.own_anchor], 1.0, rho)
-    return _Draw(
-        trials, phi, kern, gram, singular, kappa_min, finv_diag, f_bb,
-        f_bb.conj().transpose(0, 2, 1) @ f_bb, k_user, rho, *_beam_gains(kern, f_bb, lay),
-    )
+    return _Draw(trials, phi, k_user, rho, *_beam_gains(kern, lay))
 
 
-def _beam_gains(chan: np.ndarray, f_bb: np.ndarray, lay: _Layout):
+def _beam_gains(chan: np.ndarray, lay: _Layout):
     """|h^H F_BB|^2 of the effective channels sqrt(c_beta_sq) * chan, and its own-beam column."""
-    gains = np.abs(chan @ f_bb.conj())
+    gains = np.abs(chan @ lay.f_bb.conj())
     gains *= gains
     gains *= lay.c_beta_sq[:, None]
     return gains, gains.reshape(len(gains), -1)[:, lay.own_beam]
@@ -295,21 +291,19 @@ def _view(
         )
         # leak[t, n] = sum over l != n of weight_l * (anchor l's effective channel)
         others = weights[:, None, :] * (1.0 - np.eye(n))
-        leak = others @ draw.gram.transpose(0, 2, 1)
+        leak = others @ lay.gram.T
         leak_norm = np.linalg.norm(leak, axis=2)
         leak_collapsed = np.any(leak_norm < LEAK_NORM_FLOOR, axis=1)
         leak = leak / np.where(leak_collapsed[:, None], 1.0, leak_norm)[:, :, None]
-        kern = draw.kern[:, users]
-        anchor_rows = kern[:, lay.anchors]
-        anchor_hat = anchor_rows / np.linalg.norm(anchor_rows, axis=2, keepdims=True)
+        anchor_hat = lay.gram.T / np.linalg.norm(lay.gram.T, axis=1, keepdims=True)
         chan = np.sqrt(k_user)[:, :, None] * (
-            rho[:, :, None] * anchor_hat[:, lay.cluster_of]
+            rho[:, :, None] * anchor_hat[lay.cluster_of]
             + np.sqrt(1.0 - rho**2)[:, :, None] * leak[:, lay.cluster_of]
         )
-        chan[:, lay.anchors] = anchor_rows  # the anchors keep their kernel rows
+        chan[:, lay.anchors] = lay.gram.T  # the anchors keep their kernel rows, G's columns
         norms = lay.c_beta_sq * _norm_sq(chan)
-        beam_gains, own_gain = _beam_gains(chan, draw.f_bb, lay)
-        del kern, chan
+        beam_gains, own_gain = _beam_gains(chan, lay)
+        del chan
 
     sums = np.add.reduceat(norms, lay.starts, axis=1)
     with np.errstate(invalid="ignore"):  # 0/0 only on a draw excluded as degenerate
@@ -332,15 +326,14 @@ def _view(
         # kappa_max(S) per excluded cluster: the largest eigenvalue of the
         # power-weighted F_BB^H F_BB with that cluster's row and column zeroed
         root_p = np.sqrt(share_cluster)
-        weighted = root_p[:, :, None] * draw.f_gram * root_p[:, None, :]
+        weighted = root_p[:, :, None] * lay.f_gram * root_p[:, None, :]
         kappa_s_unit = np.linalg.eigvalsh(weighted[:, None] * lay.keep)[..., -1]
 
     excluded = np.where(degenerate, _SCENARIO, np.where(leak_collapsed, _SUBSPACE, 0))
-    excluded = np.where(draw.singular, _SINGULAR, excluded)
+    excluded = np.where(lay.singular, _SINGULAR, excluded)
     return _Geometry(
         layout=lay,
         excluded=excluded,
-        gram=draw.gram,
         position=position,
         share_user=share_user,
         share_earlier=(position - 1) * share_user,
@@ -349,8 +342,6 @@ def _view(
         rho=rho,
         k_user=k_user,
         k_first=k_user[:, lay.anchors],
-        finv_diag=draw.finv_diag,
-        kappa_min=draw.kappa_min,
         kappa_s_unit=kappa_s_unit,
     )
 
@@ -375,24 +366,23 @@ def _evaluate(geo: _Geometry, p_total: float, noise_var: float) -> dict[str, np.
         / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + noise_var)
     )
     aligned = _log2p(
-        p_user * cb / (p_earlier * cb + noise_var * geo.finv_diag[:, lay.cluster_of])
+        p_user * cb / (p_earlier * cb + noise_var * lay.finv_diag[lay.cluster_of])
     )
     out = {"rho": geo.rho, "rate_exact": rate, "rate_gap": aligned - rate}
     if geo.kappa_s_unit is None:
         return out
-    kappa_min = geo.kappa_min[:, None]
     rho_sq = geo.rho**2
     kappa_s = p_total * geo.kappa_s_unit[:, lay.cluster_of]
     k_first = geo.k_first[:, lay.cluster_of]
     zeta_intra = p_earlier * rho_sq * cb
-    zeta_inter = (1.0 - rho_sq) * cb * kappa_s * k_first / kappa_min
-    zeta_noise = noise_var * k_first / (kappa_min * geo.k_user)
+    zeta_inter = (1.0 - rho_sq) * cb * kappa_s * k_first / lay.kappa_min
+    zeta_noise = noise_var * k_first / (lay.kappa_min * geo.k_user)
     with np.errstate(divide="ignore", invalid="ignore"):
         num = (1.0 - rho_sq) * kappa_s + noise_var / (geo.k_user * cb)
-        den = rho_sq * kappa_min * p_earlier / k_first
+        den = rho_sq * lay.kappa_min * p_earlier / k_first
         gap_ub = np.where(den > 0.0, _log2p(num / np.where(den > 0.0, den, 1.0)), np.inf)
     out.update(
-        rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + noise_var / kappa_min)),
+        rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + noise_var / lay.kappa_min)),
         rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),
         gap_ub_thm3=gap_ub,
         gap_ub_applicable=(geo.position >= 2) & np.isfinite(gap_ub),
@@ -404,7 +394,7 @@ def _power(cfg: ScenarioConfig, snr_db: float | None) -> float:
     snr = cfg.snr_db if snr_db is None else snr_db
     if not math.isfinite(snr):
         raise ConfigError(f"snr_db must be finite, got {snr}")
-    return cfg.noise_var * 10.0 ** (snr / 10.0)
+    return cfg.noise_var * _db_to_linear(snr, "snr_db")
 
 
 @dataclass(frozen=True)
@@ -488,7 +478,7 @@ def trial_metrics(
         raise exc.__cause__ from None
     code = int(geo.excluded[0])
     if code == _SINGULAR:
-        raise _singular_gram_error(geo.gram[0])
+        raise _singular_gram_error(lay.gram)
     if code:
         raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
     fields = _evaluate(geo, p_total, cfg.noise_var)
@@ -609,16 +599,15 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
 
 def validate_spec(spec: ExperimentSpec) -> None:
     validate_config(spec.scenario)
-    # NaN or inf runs to empty rows or a raw numpy error, and no JSON manifest holds it
-    for name, value in vars(spec).items():
-        if name != "scenario" and not _finite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    _check_fields(spec)  # the scenario passed above
     if not spec.scenario_id:
         raise ConfigError("scenario_id must be non-empty")
     if spec.sweep_name not in SWEEP_NAMES:
         raise ConfigError(f"unknown sweep '{spec.sweep_name}'; expected one of {SWEEP_NAMES}")
     if len(spec.sweep_values) == 0:
         raise ConfigError("sweep values must be nonempty")
+    for value in spec.sweep_values if spec.sweep_name == "snr_db" else ():
+        _db_to_linear(value, "snr_db sweep value")
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
     if not 0 <= spec.seed < 2**64:  # counter_uniform keys on the seed's low 64 bits

@@ -191,12 +191,17 @@ def test_user_bounds_wires_scalars_together():
         beta_sq=one,
         c_beta_sq=100.0 * one,
         keep=np.zeros((1, 1, 1)),
+        gram=np.ones((1, 1)),
+        singular=False,
+        kappa_min=0.8,
+        finv_diag=one,
+        f_bb=np.ones((1, 1)),
+        f_gram=np.ones((1, 1)),
     )
     row = np.ones((1, 1))
     geo = _Geometry(
         layout=lay,
         excluded=np.zeros(1, dtype=np.int64),
-        gram=np.ones((1, 1, 1)),
         position=2 * row.astype(np.int64),
         share_user=0.5 * row,  # own power 2
         share_earlier=0.25 * row,  # earlier power 1
@@ -205,8 +210,6 @@ def test_user_bounds_wires_scalars_together():
         rho=0.9 * row,
         k_user=1.5 * row,
         k_first=2.0 * row,
-        finv_diag=row,
-        kappa_min=0.8 * one,
         kappa_s_unit=1.25 * row,  # kappa_max(S) 5
     )
     out = _evaluate(geo, p_total=4.0, noise_var=1.0)

@@ -69,6 +69,21 @@ def test_validate_rejects_integral_float_for_an_int(tmp_path, capsys):
     assert "config field 'trials'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [("scenario", "snr_db"), ("scenario", "clusters", 0, "gains_db", 0)])
+def test_run_rejects_a_db_value_that_overflows(tmp_path, capsys, path):
+    # 10^(1e300/10) is no float: the run would end in a raw OverflowError
+    doc = json.loads(json.dumps(VALID_CONFIG))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = 1e300
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"scenario": ')

@@ -42,6 +42,7 @@ FLAWS = {
     "negative seed": lambda doc, n: doc.update(seed=-1),
     "seed 2**64": lambda doc, n: doc.update(seed=2**64),
     "a non-finite number": lambda doc, n: doc["scenario"].update(snr_db=1e400),
+    "a dB value that overflows": lambda doc, n: doc["scenario"].update(snr_db=1e300),
     "shared system label": lambda doc, n: doc.update(misalign_grid=[2.5, 2.5]),
     "hb_exact false": lambda doc, n: doc.setdefault("baselines", {}).update(hb_exact=False),
     # JSON numbers that only look like integers: range() and indexing would raise TypeError

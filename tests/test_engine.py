@@ -342,7 +342,8 @@ def test_draw_rows_equal_each_size_computed_alone():
     draw = _draw(cfg, lay, spec.seed, range(CHUNK, 2 * CHUNK))
     for view in views:
         own = view.layout
-        kern = draw.kern[:, view.users]
+        kern = dirichlet_kernel(draw.phi[:, :, None] - draw.phi[:, None, lay.anchors], cfg.n_bs)
+        kern = kern[:, view.users]
         k_user = _norm_sq(kern)
         cross = kern @ kern[:, own.anchors].conj().transpose(0, 2, 1)
         cross = np.take_along_axis(cross, own.cluster_of[None, :, None], axis=2)[:, :, 0]
@@ -350,7 +351,7 @@ def test_draw_rows_equal_each_size_computed_alone():
         rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_anchor), 1.0)
         phi = draw.phi[:, view.users]
         rho = np.where(phi == phi[:, own.anchors[own.cluster_of]], 1.0, rho)
-        gains = np.abs(kern @ draw.f_bb.conj())
+        gains = np.abs(kern @ lay.f_bb.conj())
         gains *= gains
         gains *= own.c_beta_sq[:, None]
         own_gain = np.take_along_axis(gains, own.cluster_of[None, :, None], axis=2)[:, :, 0]
@@ -358,3 +359,63 @@ def test_draw_rows_equal_each_size_computed_alone():
         np.testing.assert_array_equal(draw.rho[:, view.users], rho)
         np.testing.assert_array_equal(draw.beam_gains[:, view.users], gains)
         np.testing.assert_array_equal(draw.own_gain[:, view.users], own_gain)
+
+
+@pytest.mark.parametrize("name, b", [("fig4a", 3.0), ("fig5", 6.0)])
+def test_precoder_of_the_layout_is_every_trials_precoder(name, b):
+    # the anchors keep their AoDs in every draw, so G, F_BB and F_BB^H F_BB
+    # built once per configuration equal, bit for bit, the per-trial formula
+    # on each trial's anchor kernel rows
+    cfg = dataclasses.replace(preset(name).scenario, misalign_deg=b)
+    lay = _Layout.of(cfg)
+    draw = _draw(cfg, lay, 1234, range(CHUNK, 2 * CHUNK))
+    kern = dirichlet_kernel(draw.phi[:, :, None] - draw.phi[:, None, lay.anchors], cfg.n_bs)
+    gram = kern[:, lay.anchors].transpose(0, 2, 1)
+    eigs = np.linalg.eigvalsh(gram)
+    finv = np.linalg.inv(gram)
+    finv_diag = np.diagonal(finv, axis1=1, axis2=2).real
+    f_bb = finv / np.sqrt(finv_diag)[:, None, :]
+    assert not lay.singular and np.all(eigs[:, 0] == lay.kappa_min)
+    for t in range(CHUNK):
+        np.testing.assert_array_equal(lay.gram, gram[t])
+        np.testing.assert_array_equal(lay.finv_diag, finv_diag[t])
+        np.testing.assert_array_equal(lay.f_bb, f_bb[t])
+    np.testing.assert_array_equal(
+        np.broadcast_to(lay.f_gram, f_bb.shape), f_bb.conj().transpose(0, 2, 1) @ f_bb
+    )
+
+
+def test_precoder_is_inverted_once_per_configuration(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    fresh = dataclasses.replace(FIG4A, misalign_deg=2.718)  # in no earlier test's cache entry
+    block_metrics(fresh, 5, range(CHUNK))
+    assert calls == [(5, 5)]
+    block_metrics(fresh, 5, range(CHUNK, 2 * CHUNK))
+    trial_metrics(fresh, 5, 3)
+    assert calls == [(5, 5)]
+
+
+def test_singular_configuration_excludes_every_trial():
+    collide = ScenarioConfig(
+        clusters=(ClusterSpec(10.0, (0.0, -1.0)), ClusterSpec(10.0, (0.0, -2.0, -3.0))),
+        misalign_deg=4.0,
+    )
+    assert _Layout.of(collide).singular
+    for model in (False, True):
+        block = block_metrics(collide, 3, range(CHUNK), model_channels=model)
+        assert np.all(block.excluded == 1)
+        assert np.all(np.isnan(block.rate_exact)) and not block.gap_ub_applicable.any()
+
+
+def test_out_of_range_angle_is_raised_before_a_singular_gram():
+    # both beams at 2 sin(60 deg) = 1.73 with one-wavelength spacing: the
+    # anchors' angle leaves [-1, 1] and their Gram matrix is singular
+    cfg = ScenarioConfig(
+        clusters=(ClusterSpec(60.0, (0.0,)), ClusterSpec(60.0, (0.0,))),
+        spacing_over_wavelength=1.0,
+    )
+    assert _Layout.of(cfg).singular
+    with pytest.raises(OutOfRange):
+        trial_metrics(cfg, 1, 0)

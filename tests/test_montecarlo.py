@@ -268,6 +268,19 @@ def test_spec_validation():
     ):
         with pytest.raises(ConfigError, match="finite"):
             validate_spec(bad)
+    # 10^(dB/10) of these overflows: the run would end in a raw OverflowError
+    for bad in (
+        small_spec(sweep_values=(10.0, 1e300)),
+        small_spec(scenario=dataclasses.replace(TWO_CLUSTERS, snr_db=3083.0)),
+        small_spec(
+            scenario=dataclasses.replace(
+                TWO_CLUSTERS, clusters=(ClusterSpec(10.0, (0.0, 1e300)),) + TWO_CLUSTERS.clusters[1:]
+            )
+        ),
+    ):
+        with pytest.raises(ConfigError, match="overflows"):
+            validate_spec(bad)
+    validate_spec(small_spec(sweep_values=(-1e300, 3082.0)))  # 0 and 1.6e308 are floats
     # a repeated value or system label would merge two cells' trials into one
     with pytest.raises(ConfigError, match="repeat"):
         validate_spec(small_spec(sweep_values=(10.0, 10.0)))
@@ -383,3 +396,22 @@ def test_accumulator_stderr_survives_nearly_constant_rates():
     want = np.std(rates, ddof=1) / math.sqrt(len(rates))
     assert acc.stderr()[0] == pytest.approx(want, rel=1e-6)
     assert acc.mean[0] == pytest.approx(np.mean(rates), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 8.0), ("trials", True), ("seed", np.int64(5)), ("observe_cluster", 1.0),
+     ("n_bs", 32.0), ("n_ue", False), ("n_rf", 2.0)],
+)
+def test_int_fields_of_a_python_spec_take_only_ints(field, value):
+    # 8.0 would end in a TypeError in the run, and True would run as 1
+    if field in ("n_bs", "n_ue", "n_rf"):
+        spec = small_spec(scenario=dataclasses.replace(TWO_CLUSTERS, **{field: value}))
+    elif field == "observe_cluster":
+        spec = small_spec(sweep_name="cluster_size", sweep_values=(2.0,), observe_cluster=value)
+    else:
+        spec = small_spec(**{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        validate_spec(spec)
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        run_experiment(spec)
