@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
+from types import UnionType
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -114,14 +115,19 @@ def _finite(value) -> bool:
 
 
 def _check_fields(obj) -> None:
-    """Raise ConfigError for a NaN or inf in a field of obj, or a non-int in an int field."""
-    # NaN or inf ends in NaN rates or a numpy error, 8.0 in a TypeError; True would count as 1
+    """Raise ConfigError for a NaN or inf in a field of obj, or a scalar field of the wrong type."""
+    # NaN or inf ends in NaN rates or a numpy error, 8.0 in a TypeError, "10" dB in one late;
+    # True would count as 1 and "no" as true. A float field takes any real number but a bool
     for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
         if not is_dataclass(value) and not _finite(value):  # a nested config has its own check
             raise ConfigError(f"{name} must be finite, got {value}")
-        if int in (hint, *get_args(hint)) and value is not None and type(value) is not int:
-            raise ConfigError(f"{name} must be an int, got {value!r}")
+        kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+        real = isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
+        for kind in {int, float, bool, str}.intersection(kinds):
+            if type(value) not in kinds and not (kind is float and real):  # None if optional
+                article = "an" if kind is int else "a"
+                raise ConfigError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -191,19 +197,20 @@ def _user_keys(clusters: tuple[ClusterSpec, ...]) -> tuple[np.ndarray, ...]:
     return cluster, user, np.repeat([c.aod_deg for c in clusters], sizes), user == first[cluster]
 
 
-def user_angles(cfg: ScenarioConfig, seed: int, trials) -> tuple[np.ndarray, np.ndarray]:
+def user_angles(cfg: ScenarioConfig, seed: int, trials, spread=None) -> tuple[np.ndarray, ...]:
     """AoDs in degrees and normalized angles of every user for a block of trials.
 
     Both arrays are (len(trials), users) with users in flat order (cluster by
     cluster, configured order inside each). The strongest user of each
     cluster keeps the configured cluster AoD exactly; every other user's AoD
-    is the cluster AoD plus an offset uniform on [-b, b] degrees, drawn by
-    counter_uniform from the key (seed, trial, cluster, user).
+    is the cluster AoD plus an offset -b + 2 b u degrees, where the uniform
+    u = counter_uniform(seed, trial, cluster, user) does not depend on b:
+    b is cfg.misalign_deg, or spread[r] for row r when spread is given.
     """
     cluster, user, base, anchor = _user_keys(cfg.clusters)
     trials = np.asarray(trials, dtype=np.uint64).reshape(-1, 1)
-    b = cfg.misalign_deg
-    if b == 0.0:
+    b = np.reshape(cfg.misalign_deg if spread is None else spread, (-1, 1))
+    if not b.any():
         aod = np.broadcast_to(base, (len(trials), len(base)))
     else:
         u = counter_uniform(seed, trials, cluster, user)

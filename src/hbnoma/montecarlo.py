@@ -7,21 +7,21 @@ built once per configuration, with its layout. One engine evaluates a block of
 trials at once, in closed form over (trials, users, clusters) arrays, in two
 stages. The draw stage (angles, kernel, and each user's rho, kernel norm and
 beam gains) sees a user only through its angle, gain and anchor, so a
-cluster_size sweep draws each block once, at its largest size: the counter RNG
-keys on (cluster, user), the gain ramp gives user k the same gain at every
-size and the observed cluster's anchor is its user 1 at every size, so every
-size's rows are rows of the largest's. The view stage then gathers each sweep
-value's rows and computes everything that depends on the power split. Every
-per-user quantity is linear in the total power, so an SNR sweep shares one
-view of each block and rescales. Blocks of CHUNK trials are independent work
-items; they are reduced in trial order, making the output bit-identical for
-any worker count.
+cluster_size sweep draws each block once, at its largest size (the counter RNG
+keys on (cluster, user), and user k has the same gain and anchor at every
+size). Block k stacks trials [k CHUNK, (k + 1) CHUNK) of every misalignment
+spread b of the grid, b by b, as an offset's uniform serves every b. The view
+stage gathers each sweep value's rows and computes everything that depends on
+the power split; an SNR sweep shares one view, as every per-user quantity is
+linear in the total power. Each b's rows feed its own cells, which merge the
+blocks of a run of that b alone in trial order: the output is bit-identical
+for any worker count. An angle outside [-1, 1] fails a run in the earliest
+block with one, naming the lowest such trial of the first b there to have one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -168,7 +168,7 @@ class _Layout:
         sizes = np.bincount(cluster_of, minlength=n)
         anchors = np.flatnonzero(is_anchor)
         beta_sq = np.array([abs(gain_db_to_beta(g)) ** 2 for c in cfg.clusters for g in c.gains_db])
-        phi = user_angles(cfg, 0, [0])[1][0, anchors]  # any seed and trial: anchors are fixed
+        phi = user_angles(cfg, 0, [0], 0.0)[1][0, anchors]  # unhashed: anchors keep their AoDs
         gram = dirichlet_kernel(phi[:, None] - phi, cfg.n_bs).T
         eigs = np.linalg.eigvalsh(gram)
         singular = bool(eigs[0] <= 0.0 or eigs[-1] > CONDITION_CAP * eigs[0])
@@ -228,10 +228,11 @@ class _Draw:
     own_gain: np.ndarray  # (T, U) each user's own-beam column of beam_gains
 
 
-def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials) -> _Draw:
+def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> _Draw:
     """Draw stage: synthesize a block of draws and pass it through lay's precoder.
 
-    Every quantity is a function of the complex kernel
+    Row t draws trial trials[t] at spread[t] (cfg.misalign_deg when spread is
+    None; see user_angles). Every quantity is a function of the complex kernel
     K[t, u, n] = a^H(phi_first,n) a(phi_u) over the N cluster beams; the
     N_BS dimension is never formed. Each user's row of rho, ||K_u||^2 and
     the beam gains depends only on that user's angle, gain and anchor, so a
@@ -239,7 +240,7 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials) -> _Draw:
     and gains) shares the whole stage: its rows are rows of these.
     """
     trials = np.asarray(trials, dtype=np.int64)
-    _, phi = user_angles(cfg, seed, trials)
+    _, phi = user_angles(cfg, seed, trials, spread)
     kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
     k_user = _norm_sq(kern)
     # rho: |<K_anchor, K_u>| over the norms; column n of conj(G) is anchor n's row, conjugated
@@ -311,8 +312,9 @@ def _view(
     share_user = share_cluster[:, lay.cluster_of] / lay.sizes[lay.cluster_of]
     # decode order: strongest effective norm first inside each cluster, ties
     # by index; sorting by cluster first leaves each cluster's slots in place,
-    # so the k-th slot of a cluster is decode position k
-    order = np.lexsort((-norms, np.broadcast_to(lay.cluster_of, norms.shape)))
+    # so the k-th slot of a cluster is decode position k. numpy sorts complex
+    # keys by real, then imaginary part; only a degenerate draw has NaN norms
+    order = np.argsort(lay.cluster_of - 1j * norms, axis=1, kind="stable")
     position = np.empty(norms.shape, dtype=np.int64)
     position[np.arange(len(order))[:, None], order] = lay.user
 
@@ -576,6 +578,7 @@ def _map_blocks(fn, count: int, workers: int):
     if workers <= 1 or len(blocks) <= 1:
         yield from map(fn, blocks)
         return
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: only when needed
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i in range(0, len(blocks), workers):
             yield from pool.map(fn, blocks[i : i + workers])
@@ -600,6 +603,7 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
 def validate_spec(spec: ExperimentSpec) -> None:
     validate_config(spec.scenario)
     _check_fields(spec)  # the scenario passed above
+    _check_fields(spec.baselines)
     if not spec.scenario_id:
         raise ConfigError("scenario_id must be non-empty")
     if spec.sweep_name not in SWEEP_NAMES:
@@ -644,10 +648,9 @@ class _View(NamedTuple):
     cells: list[tuple[float, float]]  # (sweep value, snr) of each cell
 
 
-def _draws(
-    spec: ExperimentSpec, base: ScenarioConfig
-) -> list[tuple[ScenarioConfig, _Layout, list[_View]]]:
-    """(config, layout, views) of each configuration the sweep draws."""
+def _draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_View]]]:
+    """(config, layout, views) of each configuration the sweep draws; rows take grid spreads."""
+    base = spec.scenario
 
     def whole(cfg, cells):
         lay = _Layout.of(cfg)
@@ -681,38 +684,42 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = spec.misalign_grid if spec.misalign_grid is not None else (spec.scenario.misalign_deg,)
-    base = replace(spec.scenario, misalign_deg=grid[0])  # the layouts ignore the misalignment
-    multi = len(grid) > 1
-    draws = _draws(spec, base)
+    draws = _draws(spec)
+    counts = [1 if b == 0.0 and not spec.baselines.model_channels else spec.trials for b in grid]
+    accs = {  # by (spread, draw, view, cell), in output order
+        (i, d, v, c): _Accumulator(len(view.layout.user))
+        for i in range(len(grid)) for d, (_, _, views) in enumerate(draws)
+        for v, view in enumerate(views) for c in range(len(view.cells))
+    }
+    view_args = (spec.baselines.model_channels, spec.leak_weighted, spec.baselines.hb_lb)
+    for d, (cfg, lay, views) in enumerate(draws):
+
+        def one_block(block, cfg=cfg, lay=lay, views=views):
+            # rows: each spread's trials of the block, spread by spread in grid order
+            lens = np.clip(np.subtract(counts, block.start), 0, len(block))
+            trials = np.concatenate([block[:n] for n in lens])
+            draw = _draw(cfg, lay, spec.seed, trials, np.repeat(grid, lens))
+            return lens, [_view(draw, view.layout, view.users, *view_args) for view in views]
+
+        for lens, geos in _map_blocks(one_block, max(counts), workers):
+            ends = np.cumsum(lens)
+            for v, (view, geo) in enumerate(zip(views, geos)):
+                kept = geo.excluded == 0
+                # one SNR's fields at a time: memory stays that of one view of a block
+                for c, (_, snr) in enumerate(view.cells):
+                    fields = _evaluate(geo, _power(cfg, snr), cfg.noise_var)
+                    for i, rows in enumerate(map(slice, ends - lens, ends)):
+                        accs[i, d, v, c].add({k: x[rows][kept[rows]] for k, x in fields.items()})
 
     cells: list[ResultCell] = []
-    view_args = (spec.baselines.model_channels, spec.leak_weighted, spec.baselines.hb_lb)
-    for b in grid:
-        label = _system_label(b, multi)
-        n_trials = 1 if b == 0.0 and not spec.baselines.model_channels else spec.trials
-        for cfg, lay, views in draws:
-            cfg_b = replace(cfg, misalign_deg=float(b))
-
-            def one_block(trials, cfg_b=cfg_b, lay=lay, views=views):
-                draw = _draw(cfg_b, lay, spec.seed, trials)
-                return [_view(draw, view.layout, view.users, *view_args) for view in views]
-
-            accs = [[_Accumulator(len(view.layout.user)) for _ in view.cells] for view in views]
-            for geos in _map_blocks(one_block, n_trials, workers):
-                for view, geo, view_accs in zip(views, geos, accs):
-                    kept = geo.excluded == 0
-                    # one SNR's fields at a time: memory stays that of one view of a block
-                    for (_, snr), acc in zip(view.cells, view_accs):
-                        fields = _evaluate(geo, _power(cfg, snr), cfg.noise_var)
-                        acc.add({name: value[kept] for name, value in fields.items()})
-
-            for view, view_accs in zip(views, accs):
-                for (value, _), acc in zip(view.cells, view_accs):
-                    if acc.n == 0:
-                        raise DegenerateScenario(
-                            f"all {n_trials} trials excluded for system {label}, sweep value {value}"
-                        )
-                    cells.append(acc.cell(label, value, view.layout, n_trials - acc.n))
+    for (i, d, v, c), acc in accs.items():
+        view, label = draws[d][2][v], _system_label(grid[i], len(grid) > 1)
+        value = view.cells[c][0]
+        if acc.n == 0:
+            raise DegenerateScenario(
+                f"all {counts[i]} trials excluded for system {label}, sweep value {value}"
+            )
+        cells.append(acc.cell(label, value, view.layout, counts[i] - acc.n))
 
     cells += [
         _baseline_cell(system, cfg, view.layout, value, _power(cfg, snr))

@@ -11,6 +11,7 @@ value) whose counts, users, manifest entry and CSV bytes all agree.
 import copy
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import random_config
 from hbnoma.cli import config_to_spec, main
 from hbnoma.errors import ConfigError
-from hbnoma.montecarlo import CHUNK, run_experiment
+from hbnoma.montecarlo import CHUNK, Baselines, run_experiment, validate_spec
 
 N_BS = 32
 
@@ -187,3 +188,40 @@ def test_every_flaw_is_rejected(tmp_path, flaw):
         config_to_spec(doc)
     code, out = run_cli(tmp_path, doc, 1)
     assert code == 1 and not out.exists()
+
+
+# a spec built in Python skips the JSON type check; each of these ran, or
+# failed with a raw TypeError, before the dataclass annotations were checked
+PYTHON_FLAWS = {
+    "fd 'no'": (lambda spec: replace(spec, baselines=Baselines(fd="no")), "fd must be a bool"),
+    "leak_weighted 0": (
+        lambda spec: replace(spec, leak_weighted=0), "leak_weighted must be a bool"
+    ),
+    "scenario_id 5": (lambda spec: replace(spec, scenario_id=5), "scenario_id must be a str"),
+    "snr_db '10'": (
+        lambda spec: replace(spec, scenario=replace(spec.scenario, snr_db="10")),
+        "snr_db must be a float",
+    ),
+    "misalign_deg True": (
+        lambda spec: replace(spec, scenario=replace(spec.scenario, misalign_deg=True)),
+        "misalign_deg must be a float",
+    ),
+}
+
+
+@pytest.mark.parametrize("flaw", sorted(PYTHON_FLAWS))
+def test_scalar_fields_of_a_python_spec_take_their_annotated_type(flaw):
+    make, message = PYTHON_FLAWS[flaw]
+    spec = make(config_to_spec(FLAWLESS))
+    with pytest.raises(ConfigError, match=message):
+        validate_spec(spec)
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(spec)
+
+
+def test_float_fields_of_a_python_spec_take_ints_and_numpy_floats():
+    spec = config_to_spec(FLAWLESS)
+    scenario = replace(
+        spec.scenario, snr_db=np.float32(12.5), misalign_deg=3, noise_var=np.int64(2)
+    )
+    run_experiment(replace(spec, scenario=scenario))

@@ -31,7 +31,7 @@ from hbnoma.errors import (
     SingularMatrix,
     TrialError,
 )
-from hbnoma.montecarlo import CHUNK, EXCLUSIONS, _draw, _draws, _Layout, _norm_sq
+from hbnoma.montecarlo import CHUNK, EXCLUSIONS, _draw, _draws, _Layout, _norm_sq, _view
 from scalar_oracle import (
     FIELDS,
     design_precoder,
@@ -338,7 +338,7 @@ def test_draw_rows_equal_each_size_computed_alone():
     # the largest size's users; each size's rows of them must be, bit for
     # bit, what that size computes on its own kernel rows
     spec = preset("fig4c")
-    ((cfg, lay, views),) = _draws(spec, spec.scenario)
+    ((cfg, lay, views),) = _draws(spec)
     draw = _draw(cfg, lay, spec.seed, range(CHUNK, 2 * CHUNK))
     for view in views:
         own = view.layout
@@ -359,6 +359,34 @@ def test_draw_rows_equal_each_size_computed_alone():
         np.testing.assert_array_equal(draw.rho[:, view.users], rho)
         np.testing.assert_array_equal(draw.beam_gains[:, view.users], gains)
         np.testing.assert_array_equal(draw.own_gain[:, view.users], own_gain)
+
+
+def test_decode_positions_equal_the_lexsort_order_on_tied_norms():
+    # aligned rows (b = 0) give every user of a cluster its anchor's angle,
+    # so users of equal gain tie exactly (10 at a time in cluster 1, more than
+    # an unstable sort keeps in order); misaligned rows tie nowhere. Both must
+    # get the order of a lexsort by cluster, then descending norm, with ties
+    # to the lower index
+    cfg = ScenarioConfig(
+        clusters=(
+            ClusterSpec(10.0, (0.0, -1.0) * 10),
+            ClusterSpec(40.0, (-2.0, 0.0, -2.0)),
+            ClusterSpec(-30.0, (0.0, 0.0, 0.0)),
+        ),
+    )
+    lay = _Layout.of(cfg)
+    trials = np.arange(CHUNK)
+    aligned = trials % 2 == 0
+    draw = _draw(cfg, lay, 9, trials, np.where(aligned, 0.0, 3.0))
+    geo = _view(draw, lay, slice(None), model_channels=False, leak_weighted=True)
+    norms = lay.c_beta_sq * draw.k_user
+    distinct = [len(np.unique(row)) for row in norms]
+    assert set(np.compress(aligned, distinct)) == {5}
+    assert set(np.compress(~aligned, distinct)) == {26}
+    order = np.lexsort((-norms, np.broadcast_to(lay.cluster_of, norms.shape)))
+    want = np.empty_like(geo.position)
+    want[np.arange(CHUNK)[:, None], order] = lay.user
+    np.testing.assert_array_equal(geo.position, want)
 
 
 @pytest.mark.parametrize("name, b", [("fig4a", 3.0), ("fig5", 6.0)])

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hbnoma.channel import ClusterSpec, ScenarioConfig
+from hbnoma import channel, montecarlo
+from hbnoma.channel import ClusterSpec, ScenarioConfig, user_angles
 from hbnoma.cli import main as cli_main, spec_to_config
 from hbnoma.errors import ConfigError, DegenerateScenario, OutOfRange, TrialError, UnknownPreset
 from hbnoma.montecarlo import (
@@ -186,6 +187,85 @@ def test_cluster_size_sweep_cells_equal_one_size_runs(hb_lb, model_channels, lea
         for label in ("b0", "b3"):
             want = dataclasses.replace(cell_of(alone, label, snr), sweep_value=size)
             assert_cells_equal([cell_of(table, label, size)], [want])
+
+
+@pytest.mark.parametrize("model_channels", [False, True])
+@pytest.mark.parametrize("name", ["fig4c", "fig5"])
+def test_grid_cells_equal_one_spread_runs(name, model_channels):
+    # each block stacks the rows of every grid spread, and each spread's rows
+    # feed its own cells; every cell must come out as a run of that spread
+    # alone computes it, bit for bit, over several blocks and a partial last
+    # one (with model channels b = 0 draws every trial too)
+    spec = dataclasses.replace(
+        preset(name), trials=2 * CHUNK + 2, baselines=Baselines(model_channels=model_channels)
+    )
+    table = run_experiment(spec)
+    for b in spec.misalign_grid:
+        alone = run_experiment(dataclasses.replace(spec, misalign_grid=(b,)))
+        want = [dataclasses.replace(cell, system=f"b{b:g}") for cell in alone.cells]
+        assert_cells_equal(cells_of(table, f"b{b:g}"), want)
+        drawn = spec.trials if b or model_channels else 1
+        assert all(c.trials + c.excluded == drawn for c in want)
+
+
+@pytest.mark.parametrize(
+    "sweep_name, sweep_values", [("snr_db", (10.0, 20.0)), ("cluster_size", (1.0, 3.0, 2.0))]
+)
+def test_each_block_is_drawn_viewed_and_evaluated_once_for_the_whole_grid(
+    monkeypatch, sweep_name, sweep_values
+):
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+    counted(channel, "counter_uniform")
+    for name in ("_draw", "_view", "_evaluate"):
+        counted(montecarlo, name)
+    views = 1 if sweep_name == "snr_db" else len(sweep_values)
+    for grid in ((3.0,), (0.0, 3.0, 5.0, 2.5)):
+        spec = small_spec(
+            sweep_name=sweep_name,
+            sweep_values=sweep_values,
+            observe_cluster=None if sweep_name == "snr_db" else 2,
+            misalign_grid=grid,
+            trials=2 * CHUNK + 2,
+        )
+        calls.clear()
+        run_experiment(spec)
+        assert calls.count("counter_uniform") == calls.count("_draw") == 3
+        assert calls.count("_view") == 3 * views
+        assert calls.count("_evaluate") == 3 * len(sweep_values)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed, named", [(1, 7), (5, 27)])
+def test_out_of_range_angle_in_a_grid_names_the_first_spread_of_the_earliest_block(
+    seed, named, workers
+):
+    # a block's rows go spread by spread in grid order, so the run fails on
+    # the earliest block with an angle outside [-1, 1] and names the lowest
+    # such trial of the first spread that has one there: with seed 1 b = 10.5
+    # has none before block 1 and b = 15 has trial 7 in block 0; with seed 5
+    # b = 10.5 has trial 27 and b = 15 trial 1, both in block 0
+    scenario = ScenarioConfig(
+        clusters=(ClusterSpec(20.0, (0.0, -1.0)), ClusterSpec(-20.0, (0.0,))),
+        spacing_over_wavelength=1.0,
+    )
+    spec = small_spec(
+        scenario=scenario, misalign_grid=(10.5, 15.0), trials=2 * CHUNK + 2, seed=seed
+    )
+    firsts = []
+    for b in spec.misalign_grid:
+        cfg = dataclasses.replace(scenario, misalign_deg=b)
+        _, phi = user_angles(cfg, seed, range(spec.trials))
+        firsts.append(int(np.flatnonzero((np.abs(phi) > 1.0).any(axis=1))[0]))
+    assert firsts == {1: [65, 7], 5: [27, 1]}[seed]
+    with pytest.raises(TrialError) as info:
+        run_experiment(spec, workers=workers)
+    assert info.value.trial == named
+    assert isinstance(info.value.__cause__, OutOfRange)
 
 
 def test_out_of_range_angle_in_a_size_sweep_fails_the_run(tmp_path):
