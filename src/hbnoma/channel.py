@@ -16,7 +16,7 @@ every draw is independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from types import UnionType
 from typing import get_args, get_type_hints
@@ -38,8 +38,8 @@ class ClusterSpec:
     gains_db: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "aod_deg", float(self.aod_deg))
-        object.__setattr__(self, "gains_db", tuple(map(float, self.gains_db)))
+        object.__setattr__(self, "aod_deg", *_floats([self.aod_deg]))
+        object.__setattr__(self, "gains_db", _floats(self.gains_db))
 
 
 @dataclass(frozen=True)
@@ -105,27 +105,31 @@ def _db_to_linear(value_db: float, name: str) -> float:
         raise ConfigError(f"{name} {value_db} dB overflows a float on the linear scale") from None
 
 
-def _finite(value) -> bool:
-    """Whether every float of a config field is finite, through nested dataclasses and tuples."""
-    if isinstance(value, (float, np.floating)):
-        return math.isfinite(value)
-    if isinstance(value, tuple) or is_dataclass(value):
-        return all(map(_finite, value if isinstance(value, tuple) else vars(value).values()))
-    return True
+def _real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
+
+
+def _floats(values) -> tuple | None:
+    """values as a tuple of floats; a non-real entry stays as it is, for _check_fields to name."""
+    return None if values is None else tuple(float(v) if _real(v) else v for v in values)
 
 
 def _check_fields(obj) -> None:
     """Raise ConfigError for a NaN or inf in a field of obj, or a scalar field of the wrong type."""
     # NaN or inf ends in NaN rates or a numpy error, 8.0 in a TypeError, "10" dB in one late;
-    # True would count as 1 and "no" as true. A float field takes any real number but a bool
+    # True would count as 1 and "no" as true. A float field or entry takes any real number but a bool
     for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
-        if not is_dataclass(value) and not _finite(value):  # a nested config has its own check
-            raise ConfigError(f"{name} must be finite, got {value}")
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
-        real = isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
+        floats = (value,) if isinstance(value, (float, np.floating)) else ()
+        if tuple[float, ...] in kinds and isinstance(value, tuple):  # a cluster has its own check
+            if not set(map(type, value)) <= {float}:  # _floats made every real entry a float
+                raise ConfigError(f"{name} entries must be real numbers, got {value!r}")
+            floats = value
+        if not all(map(math.isfinite, floats)):
+            raise ConfigError(f"{name} must be finite, got {value}")
         for kind in {int, float, bool, str}.intersection(kinds):
-            if type(value) not in kinds and not (kind is float and real):  # None if optional
+            if type(value) not in kinds and not (kind is float and _real(value)):  # None if optional
                 article = "an" if kind is int else "a"
                 raise ConfigError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
@@ -133,7 +137,6 @@ def _check_fields(obj) -> None:
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError unless draws can be made from the configuration."""
     _check_fields(cfg)
-    _db_to_linear(cfg.snr_db, "snr_db")
     n = len(cfg.clusters)
     if n == 0:
         raise ConfigError("configuration has no clusters")
@@ -148,21 +151,22 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if not cfg.noise_var > 0:
         raise ConfigError(f"noise variance must be positive, got {cfg.noise_var}")
     for idx, cluster in enumerate(cfg.clusters, start=1):
+        _check_fields(cluster)
         if len(cluster.gains_db) == 0:
             raise ConfigError(f"cluster {idx} has no users")
-        for gain in cluster.gains_db:
-            _db_to_linear(gain, f"cluster {idx} gains_db entry")
         if abs(cluster.aod_deg) >= 90.0:
             raise ConfigError(f"cluster {idx} AoD {cluster.aod_deg} deg outside (-90, 90)")
+    # every user's N_BS N_UE |beta|^2 and P N_BS N_UE |beta|^2 must be floats, or the rates are NaN
+    peak = max(gain for cluster in cfg.clusters for gain in cluster.gains_db)
+    gain = cfg.n_bs * cfg.n_ue * _db_to_linear(peak, "gains_db entry")  # a product overflows to inf
+    if not math.isfinite(gain * cfg.noise_var * _db_to_linear(cfg.snr_db, "snr_db")):
+        field = f"snr_db {cfg.snr_db}" if math.isfinite(gain) else f"gains_db entry {peak}"
+        raise ConfigError(f"{field} dB: P N_BS N_UE |beta|^2 overflows a float")
 
 
 def first_user_index(gains_db) -> int:
     """Index of the strongest user (largest gain, ties to the lowest index)."""
-    best = 0
-    for idx, gain in enumerate(gains_db):
-        if gain > gains_db[best]:
-            best = idx
-    return best
+    return max(range(len(gains_db)), key=gains_db.__getitem__)  # max keeps the first of ties
 
 
 def counter_uniform(seed: int, trial, cluster, user) -> np.ndarray:

@@ -35,6 +35,7 @@ from .channel import (
     ScenarioConfig,
     _check_fields,
     _db_to_linear,
+    _floats,
     _user_keys,
     dirichlet_kernel,
     gain_db_to_beta,
@@ -82,9 +83,8 @@ class ExperimentSpec:
     leak_weighted: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "sweep_values", tuple(map(float, self.sweep_values)))
-        if self.misalign_grid is not None:
-            object.__setattr__(self, "misalign_grid", tuple(map(float, self.misalign_grid)))
+        object.__setattr__(self, "sweep_values", _floats(self.sweep_values))
+        object.__setattr__(self, "misalign_grid", _floats(self.misalign_grid))
 
 
 # the per-user value columns of a cell; NaN where a value does not exist
@@ -150,13 +150,13 @@ class _Layout:
     sizes: np.ndarray  # (N,) users per cluster
     beta_sq: np.ndarray  # (U,) |beta|^2
     c_beta_sq: np.ndarray  # (U,) N_BS N_U |beta|^2
-    keep: np.ndarray  # (N, N, N) keep[s] zeroes row and column s of an (N, N) matrix
+    others: np.ndarray  # (N, N - 1) others[s] lists the clusters but s, ascending
     gram: np.ndarray  # (N, N) G[k, n] = a_k^H a_n of the analog beams
     singular: np.ndarray  # () G's condition number exceeds CONDITION_CAP
     kappa_min: np.ndarray  # () G's smallest eigenvalue; 1.0 when singular
     finv_diag: np.ndarray  # (N,) diagonal of G^{-1}
     f_bb: np.ndarray  # (N, N) zero-forcing G^{-1} diag(1 / sqrt([G^{-1}]_nn))
-    f_gram: np.ndarray  # (N, N) F_BB^H F_BB
+    r_gram: np.ndarray  # (N, N) real R with F_BB^H F_BB = Psi R Psi^H (see _view)
 
     @staticmethod
     @lru_cache(maxsize=CACHE_SIZE)
@@ -176,6 +176,7 @@ class _Layout:
         finv = np.linalg.inv(np.where(singular, np.eye(n), gram))
         finv_diag = np.diagonal(finv).real
         f_bb = finv / np.sqrt(finv_diag)
+        psi = np.exp(0.5j * math.pi * (cfg.n_bs - 1) * phi)  # G = Psi G_c Psi^H, G_c real
         lay = _Layout(
             cluster_of=cluster_of,
             user=user + 1,
@@ -186,13 +187,13 @@ class _Layout:
             sizes=sizes,
             beta_sq=beta_sq,
             c_beta_sq=float(cfg.n_bs * cfg.n_ue) * beta_sq,
-            keep=1.0 - np.maximum(np.eye(n)[:, :, None], np.eye(n)[:, None, :]),
+            others=np.array([np.delete(np.arange(n), s) for s in range(n)]).reshape(n, n - 1),
             gram=gram,
             singular=np.array(singular),
             kappa_min=np.array(1.0 if singular else eigs[0]),
             finv_diag=finv_diag,
             f_bb=f_bb,
-            f_gram=f_bb.conj().T @ f_bb,
+            r_gram=(psi.conj()[:, None] * (f_bb.conj().T @ f_bb) * psi).real,
         )
         for array in vars(lay).values():
             array.flags.writeable = False
@@ -214,6 +215,25 @@ class _Geometry:
     k_user: np.ndarray
     k_first: np.ndarray  # (T, N)
     kappa_s_unit: np.ndarray | None  # (T, N); None when the bounds are skipped
+
+
+def _bounds(geo: _Geometry, noise_var: float) -> tuple[np.ndarray, ...]:
+    """The left prefixes of geo's bound formulas that read no power, once for all its powers.
+
+    (T, U) each, in the order _evaluate unpacks them: rho^2, 1 - rho^2, (1 - rho^2) c|beta|^2,
+    rho^2 kappa_min, the cluster's kappa_max(S) at unit power and ||K_anchor||^2, zeta_noise,
+    sigma^2 / (||K_u||^2 c|beta|^2), and whether the decode position is 2 or later.
+    """
+    lay, rho_sq = geo.layout, geo.rho**2
+    miss = 1.0 - rho_sq
+    k_first = geo.k_first[:, lay.cluster_of]
+    zeta_noise = noise_var * k_first / (lay.kappa_min * geo.k_user)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        noise = noise_var / (geo.k_user * lay.c_beta_sq)
+    return (
+        rho_sq, miss, miss * lay.c_beta_sq, rho_sq * lay.kappa_min,
+        geo.kappa_s_unit[:, lay.cluster_of], k_first, zeta_noise, noise, geo.position >= 2,
+    )
 
 
 @dataclass
@@ -325,11 +345,12 @@ def _view(
     del beam_gains  # done with the (T, U, N) rows: drop them before the eigen stack
     kappa_s_unit = None
     if bounds:
-        # kappa_max(S) per excluded cluster: the largest eigenvalue of the
-        # power-weighted F_BB^H F_BB with that cluster's row and column zeroed
+        # kappa_max(S_s): the largest eigenvalue of the weighted F_BB^H F_BB = Psi R Psi^H with row
+        # and column s zeroed, so (Psi diagonal unitary, the matrix PSD) of the weighted R without s
         root_p = np.sqrt(share_cluster)
-        weighted = root_p[:, :, None] * lay.f_gram * root_p[:, None, :]
-        kappa_s_unit = np.linalg.eigvalsh(weighted[:, None] * lay.keep)[..., -1]
+        weighted = root_p[:, :, None] * lay.r_gram * root_p[:, None, :]
+        subs = weighted[:, lay.others[:, :, None], lay.others[:, None, :]]  # (T, N, N-1, N-1)
+        kappa_s_unit = np.linalg.eigvalsh(subs)[..., -1] if n > 1 else np.zeros((len(subs), 1))
 
     excluded = np.where(degenerate, _SCENARIO, np.where(leak_collapsed, _SUBSPACE, 0))
     excluded = np.where(lay.singular, _SINGULAR, excluded)
@@ -357,8 +378,8 @@ def _log2p(x: np.ndarray) -> np.ndarray:
     return np.log1p(x) / LOG2
 
 
-def _evaluate(geo: _Geometry, p_total: float, noise_var: float) -> dict[str, np.ndarray]:
-    """Per-user (T, U) fields at one power level: exact rate, gap and, unless skipped, bounds."""
+def _evaluate(geo: _Geometry, p_total: float, noise_var: float, b: tuple | None) -> dict:
+    """Per-user (T, U) fields at one power: exact rate, gap and, given b from _bounds, bounds."""
     lay = geo.layout
     p_user = p_total * geo.share_user
     p_earlier = p_total * geo.share_earlier
@@ -371,23 +392,21 @@ def _evaluate(geo: _Geometry, p_total: float, noise_var: float) -> dict[str, np.
         p_user * cb / (p_earlier * cb + noise_var * lay.finv_diag[lay.cluster_of])
     )
     out = {"rho": geo.rho, "rate_exact": rate, "rate_gap": aligned - rate}
-    if geo.kappa_s_unit is None:
+    if b is None:
         return out
-    rho_sq = geo.rho**2
-    kappa_s = p_total * geo.kappa_s_unit[:, lay.cluster_of]
-    k_first = geo.k_first[:, lay.cluster_of]
+    rho_sq, miss, miss_cb, rho_sq_kappa, kappa_s_unit, k_first, zeta_noise, noise, later = b
+    kappa_s = p_total * kappa_s_unit
     zeta_intra = p_earlier * rho_sq * cb
-    zeta_inter = (1.0 - rho_sq) * cb * kappa_s * k_first / lay.kappa_min
-    zeta_noise = noise_var * k_first / (lay.kappa_min * geo.k_user)
+    zeta_inter = miss_cb * kappa_s * k_first / lay.kappa_min
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = (1.0 - rho_sq) * kappa_s + noise_var / (geo.k_user * cb)
-        den = rho_sq * lay.kappa_min * p_earlier / k_first
+        num = miss * kappa_s + noise
+        den = rho_sq_kappa * p_earlier / k_first
         gap_ub = np.where(den > 0.0, _log2p(num / np.where(den > 0.0, den, 1.0)), np.inf)
     out.update(
         rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + noise_var / lay.kappa_min)),
         rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),
         gap_ub_thm3=gap_ub,
-        gap_ub_applicable=(geo.position >= 2) & np.isfinite(gap_ub),
+        gap_ub_applicable=later & np.isfinite(gap_ub),
     )
     return out
 
@@ -446,7 +465,7 @@ def block_metrics(
     lay = _Layout.of(cfg)
     p_total = _power(cfg, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels, leak_weighted)
-    fields = _evaluate(geo, p_total, cfg.noise_var)
+    fields = _evaluate(geo, p_total, cfg.noise_var, _bounds(geo, cfg.noise_var))
     kept = (geo.excluded == 0)[:, None]
     applicable = fields.pop("gap_ub_applicable") & kept
     fields = {name: np.where(kept, value, np.nan) for name, value in fields.items()}
@@ -483,7 +502,7 @@ def trial_metrics(
         raise _singular_gram_error(lay.gram)
     if code:
         raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
-    fields = _evaluate(geo, p_total, cfg.noise_var)
+    fields = _evaluate(geo, p_total, cfg.noise_var, _bounds(geo, cfg.noise_var))
     return TrialMetrics(
         cluster=lay.cluster_of + 1,
         user=lay.user,
@@ -594,9 +613,8 @@ def _gain_ramp(size: int) -> tuple[float, ...]:
 
 
 def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> ScenarioConfig:
-    idx = cluster_1based - 1
     clusters = list(cfg.clusters)
-    clusters[idx] = ClusterSpec(aod_deg=clusters[idx].aod_deg, gains_db=_gain_ramp(size))
+    clusters[cluster_1based - 1] = replace(clusters[cluster_1based - 1], gains_db=_gain_ramp(size))
     return replace(cfg, clusters=tuple(clusters))
 
 
@@ -610,8 +628,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"unknown sweep '{spec.sweep_name}'; expected one of {SWEEP_NAMES}")
     if len(spec.sweep_values) == 0:
         raise ConfigError("sweep values must be nonempty")
-    for value in spec.sweep_values if spec.sweep_name == "snr_db" else ():
-        _db_to_linear(value, "snr_db sweep value")
+    if spec.sweep_name == "snr_db":  # P and P N_BS N_UE |beta|^2 are largest at the largest value
+        validate_config(replace(spec.scenario, snr_db=max(spec.sweep_values)))
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
     if not 0 <= spec.seed < 2**64:  # counter_uniform keys on the seed's low 64 bits
@@ -705,9 +723,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             ends = np.cumsum(lens)
             for v, (view, geo) in enumerate(zip(views, geos)):
                 kept = geo.excluded == 0
-                # one SNR's fields at a time: memory stays that of one view of a block
+                terms = _bounds(geo, cfg.noise_var) if spec.baselines.hb_lb else None
+                # one SNR's fields at a time on the view's terms: memory stays that of one view
                 for c, (_, snr) in enumerate(view.cells):
-                    fields = _evaluate(geo, _power(cfg, snr), cfg.noise_var)
+                    fields = _evaluate(geo, _power(cfg, snr), cfg.noise_var, terms)
                     for i, rows in enumerate(map(slice, ends - lens, ends)):
                         accs[i, d, v, c].add({k: x[rows][kept[rows]] for k, x in fields.items()})
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_config
 from hbnoma.channel import dirichlet_kernel
-from hbnoma.montecarlo import _evaluate, _Geometry, _Layout
+from hbnoma.montecarlo import _bounds, _evaluate, _Geometry, _Layout
 from scalar_oracle import (
     design_precoder,
     effective_channel,
@@ -190,13 +190,13 @@ def test_user_bounds_wires_scalars_together():
         sizes=one.astype(np.int64),
         beta_sq=one,
         c_beta_sq=100.0 * one,
-        keep=np.zeros((1, 1, 1)),
+        others=np.zeros((1, 0), dtype=np.int64),
         gram=np.ones((1, 1)),
         singular=False,
         kappa_min=0.8,
         finv_diag=one,
         f_bb=np.ones((1, 1)),
-        f_gram=np.ones((1, 1)),
+        r_gram=np.ones((1, 1)),
     )
     row = np.ones((1, 1))
     geo = _Geometry(
@@ -212,7 +212,7 @@ def test_user_bounds_wires_scalars_together():
         k_first=2.0 * row,
         kappa_s_unit=1.25 * row,  # kappa_max(S) 5
     )
-    out = _evaluate(geo, p_total=4.0, noise_var=1.0)
+    out = _evaluate(geo, p_total=4.0, noise_var=1.0, b=_bounds(geo, noise_var=1.0))
     assert out["rate_lb_thm1"][0, 0] == pytest.approx(1.5730393333453367, abs=1e-12)
     assert out["rate_lb_thm2"][0, 0] == pytest.approx(0.5907088042640725, abs=1e-12)
     assert out["gap_ub_thm3"][0, 0] == pytest.approx(1.9828293000597461, abs=1e-12)

@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config
+from hbnoma.channel import ClusterSpec, ScenarioConfig, validate_config
 from hbnoma.cli import config_to_spec, main
 from hbnoma.errors import ConfigError
-from hbnoma.montecarlo import CHUNK, Baselines, run_experiment, validate_spec
+from hbnoma.montecarlo import CHUNK, Baselines, preset, run_experiment, validate_spec
 
 N_BS = 32
 
@@ -206,7 +207,33 @@ PYTHON_FLAWS = {
         lambda spec: replace(spec, scenario=replace(spec.scenario, misalign_deg=True)),
         "misalign_deg must be a float",
     ),
+    # the dataclasses convert a tuple's real entries to float and leave the
+    # rest for the check; float() used to turn "10" into 10.0 and True into 1.0
+    "sweep_values '1', '2'": (
+        lambda spec: replace(spec, sweep_values=("1", "2")),
+        "sweep_values entries must be real numbers",
+    ),
+    "sweep_values True": (
+        lambda spec: replace(spec, sweep_values=(True,)),
+        "sweep_values entries must be real numbers",
+    ),
+    "misalign_grid '3'": (
+        lambda spec: replace(spec, misalign_grid=("3",)),
+        "misalign_grid entries must be real numbers",
+    ),
+    "aod_deg '10'": (
+        lambda spec: replace(spec, scenario=_with_first_cluster(spec, ClusterSpec("10", (0.0,)))),
+        "aod_deg must be a float",
+    ),
+    "gains_db '0', '-1'": (
+        lambda spec: replace(spec, scenario=_with_first_cluster(spec, ClusterSpec(-30.0, ("0", "-1")))),
+        "gains_db entries must be real numbers",
+    ),
 }
+
+
+def _with_first_cluster(spec, cluster):
+    return replace(spec.scenario, clusters=(cluster, *spec.scenario.clusters[1:]))
 
 
 @pytest.mark.parametrize("flaw", sorted(PYTHON_FLAWS))
@@ -225,3 +252,54 @@ def test_float_fields_of_a_python_spec_take_ints_and_numpy_floats():
         spec.scenario, snr_db=np.float32(12.5), misalign_deg=3, noise_var=np.int64(2)
     )
     run_experiment(replace(spec, scenario=scenario))
+
+
+def test_tuple_entries_of_a_python_spec_take_real_numbers_only():
+    fig4a = preset("fig4a")
+    for spec, field in (
+        (replace(fig4a, sweep_values=("10", "20")), "sweep_values"),
+        (replace(fig4a, misalign_grid=("3",)), "misalign_grid"),
+        (replace(fig4a, sweep_values=(True,)), "sweep_values"),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            run_experiment(replace(spec, trials=2))
+    cluster = ClusterSpec(aod_deg="10", gains_db=("0", "-1"))  # builds; the check names it
+    with pytest.raises(ConfigError, match="aod_deg"):
+        validate_config(ScenarioConfig(clusters=(cluster,)))
+    with pytest.raises(ConfigError, match="gains_db"):
+        validate_config(ScenarioConfig(clusters=(replace(cluster, aod_deg=10.0),)))
+    # numpy and int entries are real numbers, held as floats
+    spec = replace(fig4a, sweep_values=(np.float32(10.0), 20), misalign_grid=(np.int64(3),))
+    assert spec.sweep_values == (10.0, 20.0) and type(spec.misalign_grid[0]) is float
+    validate_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(
+            lambda spec: replace(spec, scenario=_with_first_cluster(spec, ClusterSpec(-30.0, (3082.0,)))),
+            "gains_db entry 3082.0",
+            id="gain",
+        ),
+        pytest.param(
+            lambda spec: replace(spec, sweep_name="snr_db", sweep_values=(10.0, 3080.0), observe_cluster=None),
+            "snr_db 3080.0",
+            id="snr sweep value",
+        ),
+        pytest.param(
+            lambda spec: replace(spec, scenario=replace(spec.scenario, snr_db=3080.0)),
+            "snr_db 3080.0",
+            id="snr",
+        ),
+    ],
+)
+def test_power_times_array_gain_that_overflows_is_rejected(make, field):
+    # 10^(dB/10) is a float, but P N_BS N_UE |beta|^2 (N_BS N_UE = 256) is not:
+    # the run gave NaN or inf rates with no draw excluded and numpy warnings
+    spec = make(config_to_spec(FLAWLESS))
+    assert (spec.scenario.n_bs, spec.scenario.n_ue) == (32, 8)
+    with pytest.raises(ConfigError, match=field):
+        validate_spec(spec)
+    with pytest.raises(ConfigError, match=field):
+        run_experiment(spec)

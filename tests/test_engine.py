@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_config
 from hbnoma import (
     ClusterSpec,
     ScenarioConfig,
@@ -391,9 +392,9 @@ def test_decode_positions_equal_the_lexsort_order_on_tied_norms():
 
 @pytest.mark.parametrize("name, b", [("fig4a", 3.0), ("fig5", 6.0)])
 def test_precoder_of_the_layout_is_every_trials_precoder(name, b):
-    # the anchors keep their AoDs in every draw, so G, F_BB and F_BB^H F_BB
-    # built once per configuration equal, bit for bit, the per-trial formula
-    # on each trial's anchor kernel rows
+    # the anchors keep their AoDs in every draw, so G, F_BB and R, the real
+    # F_BB^H F_BB of the centred array, built once per configuration equal, bit
+    # for bit, the per-trial formula on each trial's anchor kernel rows
     cfg = dataclasses.replace(preset(name).scenario, misalign_deg=b)
     lay = _Layout.of(cfg)
     draw = _draw(cfg, lay, 1234, range(CHUNK, 2 * CHUNK))
@@ -408,9 +409,78 @@ def test_precoder_of_the_layout_is_every_trials_precoder(name, b):
         np.testing.assert_array_equal(lay.gram, gram[t])
         np.testing.assert_array_equal(lay.finv_diag, finv_diag[t])
         np.testing.assert_array_equal(lay.f_bb, f_bb[t])
-    np.testing.assert_array_equal(
-        np.broadcast_to(lay.f_gram, f_bb.shape), f_bb.conj().transpose(0, 2, 1) @ f_bb
+    psi = np.exp(0.5j * np.pi * (cfg.n_bs - 1) * draw.phi[:, lay.anchors])
+    rotated = psi.conj()[:, :, None] * (f_bb.conj().transpose(0, 2, 1) @ f_bb) * psi[:, None, :]
+    np.testing.assert_array_equal(np.broadcast_to(lay.r_gram, f_bb.shape), rotated.real)
+    # F_BB^H F_BB = Psi R Psi^H with Psi = diag(exp(j pi (N_BS - 1) phi_n / 2)) is
+    # real up to rounding, and R = C G_c^-2 C of the real centred Gram matrix G_c
+    assert np.max(np.abs(rotated.imag)) <= 1e-14 * np.max(np.abs(lay.r_gram))
+    phi = draw.phi[0, lay.anchors]
+    delta = 0.5 * np.pi * (phi - phi[:, None])
+    with np.errstate(invalid="ignore"):
+        g_c = np.sin(cfg.n_bs * delta) / (cfg.n_bs * np.sin(delta))
+    np.fill_diagonal(g_c, 1.0)
+    g_inv = np.linalg.inv(g_c)
+    c = 1.0 / np.sqrt(np.diagonal(g_inv))
+    np.testing.assert_allclose(lay.r_gram, c[:, None] * (g_inv @ g_inv) * c, rtol=1e-12, atol=0)
+
+
+def _kappa_configs():
+    rng = np.random.default_rng(14)
+    randoms = [random_config(rng, n_bs=n_bs, misalign_deg=2.0) for n_bs in (31, 32, 64, 32, 17)]
+    lone = ScenarioConfig(clusters=(ClusterSpec(20.0, (0.0, -1.0, -2.0)),), misalign_deg=3.0)
+    pair = ScenarioConfig(
+        clusters=(ClusterSpec(-20.0, (0.0, -1.0)), ClusterSpec(35.0, (0.0, -2.0, -4.0))),
+        misalign_deg=3.0,
     )
+    # one-wavelength spacing: the anchors sit at 2 sin(AoD) = 1 and -0.85, so the
+    # kernel reduces their difference by a period, 2, where the sign of
+    # exp(-j pi (N_BS - 1) r / 2) flips with the parity of N_BS
+    lobes = [
+        ScenarioConfig(
+            clusters=(ClusterSpec(30.0, (0.0, -1.0)), ClusterSpec(-25.0, (0.0, -3.0))),
+            n_bs=n_bs,
+            spacing_over_wavelength=1.0,
+        )
+        for n_bs in (31, 32)
+    ]
+    singular = ScenarioConfig(
+        clusters=(ClusterSpec(10.0, (0.0, -1.0)), ClusterSpec(10.0, (0.0, -2.0))),
+        misalign_deg=4.0,
+    )
+    ids = ["random31", "random32", "random64", "random32b", "random17"]
+    ids += ["one", "two", "lobe31", "lobe32", "singular"]
+    return [pytest.param(cfg, id=i) for cfg, i in zip(randoms + [lone, pair, *lobes, singular], ids)]
+
+
+@pytest.mark.parametrize("cfg", _kappa_configs())
+def test_kappa_stack_equals_the_complex_zeroed_route(cfg):
+    # kappa_max(S) from the real (N-1) x (N-1) principal submatrices of the
+    # weighted R against the reference: eigvalsh of the complex N x N weighted
+    # F_BB^H F_BB with row and column s zeroed
+    lay = _Layout.of(cfg)
+    n = len(lay.anchors)
+    draw = _draw(cfg, lay, 5, range(CHUNK))
+    geo = _view(draw, lay, slice(None), model_channels=False, leak_weighted=True)
+    got = geo.kappa_s_unit
+    sums = np.add.reduceat(lay.c_beta_sq * draw.k_user, lay.starts, axis=1)
+    root_p = np.sqrt(sums / sums.sum(axis=1, keepdims=True))
+    weighted = root_p[:, :, None] * (lay.f_bb.conj().T @ lay.f_bb) * root_p[:, None, :]
+    keep = 1.0 - np.maximum(np.eye(n)[:, :, None], np.eye(n)[:, None, :])
+    want = np.linalg.eigvalsh(weighted[:, None] * keep)[..., -1]
+    if n == 1:
+        np.testing.assert_array_equal(got, 0.0)
+        np.testing.assert_array_equal(want, 0.0)
+    else:
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    # R is F_BB^H F_BB turned by the anchors' phases: its imaginary part is rounding
+    phi = user_angles(cfg, 0, [0], 0.0)[1][0, lay.anchors]
+    psi = np.exp(0.5j * np.pi * (cfg.n_bs - 1) * phi)
+    rotated = psi.conj()[:, None] * (lay.f_bb.conj().T @ lay.f_bb) * psi
+    np.testing.assert_array_equal(lay.r_gram, rotated.real)
+    assert np.max(np.abs(rotated.imag)) <= 1e-14 * np.max(np.abs(rotated.real))
+    assert bool(lay.singular) == (cfg.clusters[0].aod_deg == cfg.clusters[-1].aod_deg and n > 1)
 
 
 def test_precoder_is_inverted_once_per_configuration(monkeypatch):

@@ -360,7 +360,19 @@ def test_spec_validation():
     ):
         with pytest.raises(ConfigError, match="overflows"):
             validate_spec(bad)
-    validate_spec(small_spec(sweep_values=(-1e300, 3082.0)))  # 0 and 1.6e308 are floats
+    # P N_BS N_UE |beta|^2 of these overflows (N_BS N_UE = 256): NaN rates, none excluded
+    for bad in (
+        small_spec(sweep_values=(10.0, 3082.0)),
+        small_spec(scenario=dataclasses.replace(TWO_CLUSTERS, snr_db=3080.0)),
+        small_spec(
+            scenario=dataclasses.replace(
+                TWO_CLUSTERS, clusters=(ClusterSpec(10.0, (0.0, 3082.0)),) + TWO_CLUSTERS.clusters[1:]
+            )
+        ),
+    ):
+        with pytest.raises(ConfigError, match="N_BS N_UE"):
+            validate_spec(bad)
+    validate_spec(small_spec(sweep_values=(-1e300, 3050.0)))  # P N_BS N_UE |beta|^2 0 and 2.6e307
     # a repeated value or system label would merge two cells' trials into one
     with pytest.raises(ConfigError, match="repeat"):
         validate_spec(small_spec(sweep_values=(10.0, 10.0)))

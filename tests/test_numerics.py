@@ -2,10 +2,12 @@
 
 The engine reads kappa_min(F) and kappa_max(S) off batched eigvalsh stacks
 (ascending, so [..., 0] and [..., -1]), inverts the N x N Gram for the
-zero-forcing stage, and takes kappa_max(S) on the N x N side F_w^H F_w with
-the excluded cluster's row and column zeroed. The oracle solves the square
-H_bar and takes kappa_max(S) on the F_w F_w^H side. These tests pin each of
-those routes against closed forms and against the other route.
+zero-forcing stage, and takes kappa_max(S) on the N x N side F_w^H F_w: with
+the excluded cluster's row and column zeroed, or, as the engine does, on the
+principal submatrix without them (the matrix is PSD, so zeroing adds only an
+eigenvalue 0). The oracle solves the square H_bar and takes kappa_max(S) on
+the F_w F_w^H side. These tests pin each of those routes against closed forms
+and against the other routes.
 """
 
 import numpy as np
@@ -37,7 +39,7 @@ def complex_matrices(rows, cols):
 
 
 def _masked_max_eigen(f, powers, exclude):
-    """kappa_max(S) as the engine forms it: the N x N side, one row and column zeroed."""
+    """kappa_max(S) on the N x N side, one row and column zeroed."""
     n = f.shape[1]
     root_p = np.sqrt(np.asarray(powers, dtype=float))
     weighted = root_p[:, None] * (f.conj().T @ f) * root_p[None, :]
@@ -145,3 +147,20 @@ def test_gram_max_eigen_dominates_rayleigh(m, g_list):
     g = g / norm
     quad = float(np.linalg.norm(m.conj().T @ g) ** 2)
     assert quad <= np.linalg.eigvalsh(m @ m.conj().T)[-1] * (1.0 + 1e-9) + 1e-12
+
+
+@given(
+    complex_matrices(4, 4),
+    st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+    st.integers(0, 3),
+)
+@settings(max_examples=60)
+def test_principal_submatrix_equals_the_zeroed_matrix(f, powers, exclude):
+    # the engine's route: the (N-1) x (N-1) principal submatrix of the
+    # weighted F_w^H F_w without the excluded cluster has the zeroed matrix's
+    # largest eigenvalue, as the weighted matrix is PSD
+    root_p = np.sqrt(np.asarray(powers))
+    weighted = root_p[:, None] * (f.conj().T @ f) * root_p[None, :]
+    others = [k for k in range(4) if k != exclude]
+    got = np.linalg.eigvalsh(weighted[np.ix_(others, others)])[-1]
+    assert got == pytest.approx(_masked_max_eigen(f, powers, exclude), rel=1e-10, abs=1e-12)
