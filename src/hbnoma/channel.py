@@ -60,19 +60,10 @@ class ScenarioConfig:
         return self.n_rf if self.n_rf is not None else len(self.clusters)
 
 
-def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
-    """Complex inner product a^H(phi) a(phi + delta) of n-element steering vectors.
-
-    Elementwise over the array delta (at least 1-D in the result). The
-    kernel has period 2 in delta, so
-    delta is first reduced exactly to r in [-1, 1]; then
-    a^H(phi) a(phi + delta) = exp(-j pi (n-1) r / 2) sin(n pi r / 2) / (n sin(pi r / 2)),
-    which stays accurate near r = 0, including the grating lobes at delta = +-2.
-    """
-    # in-place steps keep a large block to a few arrays of its size
-    half = np.round(0.5 * np.atleast_1d(delta))
-    half *= -2.0
-    half += delta  # r
+def _reduced_ratio(delta, n_elements: int) -> tuple[np.ndarray, ...]:
+    """k, pi r / 2, sin(n pi r / 2) / (n sin(pi r / 2)) of the exact split delta = 2 k + r, |r| <= 1."""
+    k = np.round(0.5 * np.atleast_1d(delta))
+    half = delta - 2.0 * k  # r
     half *= 0.5 * math.pi
     denom = np.sin(half)
     aligned = denom == 0.0
@@ -82,7 +73,16 @@ def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
     np.sin(ratio, out=ratio)
     ratio /= denom
     ratio[aligned] = 1.0
-    del denom
+    return k, half, ratio
+
+
+def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
+    """Complex inner product a^H(phi) a(phi + delta) of n-element steering vectors.
+
+    Elementwise over delta (at least 1-D), of period 2 in delta: exp(-j pi (n-1) r / 2)
+    times the ratio, with r and the ratio of _reduced_ratio(delta).
+    """
+    _, half, ratio = _reduced_ratio(delta, n_elements)
     half *= n_elements - 1
     out = np.empty(half.shape, dtype=np.complex128)
     np.cos(half, out=out.real)
@@ -90,6 +90,18 @@ def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
     np.negative(out.imag, out=out.imag)  # exp(-j (n-1) pi r / 2)
     out *= ratio
     return out
+
+
+def centred_kernel(delta, n_elements: int) -> np.ndarray:
+    """Real g(delta) = sin(n pi delta / 2) / (n sin(pi delta / 2)): the kernel of the centred array.
+
+    a^H(phi) a(phi + delta) = psi(phi + delta) conj(psi(phi)) g(delta), psi(phi) =
+    exp(-j pi (n-1) phi / 2); g = (-1)^((n-1) k) ratio with k, ratio of _reduced_ratio(delta).
+    """
+    k, _, ratio = _reduced_ratio(delta, n_elements)
+    if n_elements % 2 == 0:  # k % 2 on a float array costs about ten times np.fmod
+        np.negative(ratio, out=ratio, where=np.fmod(k, 2.0) != 0.0)
+    return ratio
 
 
 def gain_db_to_beta(gain_db: float) -> complex:
@@ -135,7 +147,7 @@ def _check_fields(obj) -> None:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Raise ConfigError unless draws can be made from the configuration."""
+    """Raise ConfigError for a value draws cannot be made from (overflow: see montecarlo._power)."""
     _check_fields(cfg)
     n = len(cfg.clusters)
     if n == 0:
@@ -156,12 +168,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"cluster {idx} has no users")
         if abs(cluster.aod_deg) >= 90.0:
             raise ConfigError(f"cluster {idx} AoD {cluster.aod_deg} deg outside (-90, 90)")
-    # every user's N_BS N_UE |beta|^2 and P N_BS N_UE |beta|^2 must be floats, or the rates are NaN
-    peak = max(gain for cluster in cfg.clusters for gain in cluster.gains_db)
-    gain = cfg.n_bs * cfg.n_ue * _db_to_linear(peak, "gains_db entry")  # a product overflows to inf
-    if not math.isfinite(gain * cfg.noise_var * _db_to_linear(cfg.snr_db, "snr_db")):
-        field = f"snr_db {cfg.snr_db}" if math.isfinite(gain) else f"gains_db entry {peak}"
-        raise ConfigError(f"{field} dB: P N_BS N_UE |beta|^2 overflows a float")
+    _db_to_linear(max(max(cluster.gains_db) for cluster in cfg.clusters), "gains_db entry")
 
 
 def first_user_index(gains_db) -> int:

@@ -37,6 +37,7 @@ from .channel import (
     _db_to_linear,
     _floats,
     _user_keys,
+    centred_kernel,
     dirichlet_kernel,
     gain_db_to_beta,
     user_angles,
@@ -57,6 +58,7 @@ CHUNK = 64
 CONDITION_CAP = 1e10  # a Gram matrix with a larger condition number is singular
 LEAK_NORM_FLOOR = 1e-12  # below this the leakage combination has no direction
 SWEEP_NAMES = ("snr_db", "n_bs", "cluster_size")
+_OVERFLOW = "P N_BS N_UE |beta|^2 times the beam gains overflows a float"
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,12 @@ class _Layout:
     finv_diag: np.ndarray  # (N,) diagonal of G^{-1}
     f_bb: np.ndarray  # (N, N) zero-forcing G^{-1} diag(1 / sqrt([G^{-1}]_nn))
     r_gram: np.ndarray  # (N, N) real R with F_BB^H F_BB = Psi R Psi^H (see _view)
+    gram_c: np.ndarray  # (N, N) real G_c[m, n] = g(phi_n - phi_m), G = Psi G_c Psi^H (see _draw)
+    f_c: np.ndarray  # (N, N) real F_c = G_c^{-1} diag(1 / sqrt([G^{-1}]_nn)), F_BB = Psi F_c Psi^H
+    k_anchor: np.ndarray  # (N,) ||K||^2 of each anchor's kernel row
+    unit_gains: np.ndarray  # (N, N) |K F_BB^*|^2 of each anchor's kernel row
+    zeta_peak: np.ndarray  # () bound of two Thm 2 zetas at unit power: ||K_u||^2 <= N,
+    # |K_u F_BB^*|^2 <= N F and kappa_max(S) <= F for F = max_n ||F_BB[:, n]||^2 >= 1 (see _power)
 
     @staticmethod
     @lru_cache(maxsize=CACHE_SIZE)
@@ -177,6 +185,12 @@ class _Layout:
         finv_diag = np.diagonal(finv).real
         f_bb = finv / np.sqrt(finv_diag)
         psi = np.exp(0.5j * math.pi * (cfg.n_bs - 1) * phi)  # G = Psi G_c Psi^H, G_c real
+        kappa_min = 1.0 if singular else float(eigs[0])
+        gain = n * cfg.n_bs * cfg.n_ue * float(np.max(beta_sq))  # N c|beta|^2; inf on overflow
+        zeta_peak = 2.0 * gain * float(np.max(np.sum(np.abs(f_bb) ** 2, axis=0))) / kappa_min
+        if not math.isfinite(len(cluster_of) * gain + zeta_peak):  # U norms summed, two zetas
+            peak = max(max(c.gains_db) for c in cfg.clusters)
+            raise ConfigError(f"gains_db entry {peak} dB: {_OVERFLOW}")
         lay = _Layout(
             cluster_of=cluster_of,
             user=user + 1,
@@ -190,13 +204,19 @@ class _Layout:
             others=np.array([np.delete(np.arange(n), s) for s in range(n)]).reshape(n, n - 1),
             gram=gram,
             singular=np.array(singular),
-            kappa_min=np.array(1.0 if singular else eigs[0]),
+            kappa_min=np.array(kappa_min),
             finv_diag=finv_diag,
             f_bb=f_bb,
             r_gram=(psi.conj()[:, None] * (f_bb.conj().T @ f_bb) * psi).real,
+            gram_c=centred_kernel(phi - phi[:, None], cfg.n_bs),  # nearer G's bits than turning G
+            f_c=(psi.conj()[:, None] * f_bb * psi).real,
+            k_anchor=_norm_sq(gram.T),  # the anchors' kernel rows are G's columns
+            unit_gains=np.abs(gram.T @ f_bb.conj()) ** 2,
+            zeta_peak=np.array(zeta_peak),
         )
         for array in vars(lay).values():
             array.flags.writeable = False
+        _power(cfg, lay)  # cfg's own power
         return lay
 
 
@@ -245,38 +265,36 @@ class _Draw:
     k_user: np.ndarray  # (T, U) squared kernel row norms
     rho: np.ndarray  # (T, U) misalignment factor
     beam_gains: np.ndarray  # (T, U, N) |h^H F_BB|^2 of the kernel-row channels
-    own_gain: np.ndarray  # (T, U) each user's own-beam column of beam_gains
 
 
 def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> _Draw:
     """Draw stage: synthesize a block of draws and pass it through lay's precoder.
 
     Row t draws trial trials[t] at spread[t] (cfg.misalign_deg when spread is
-    None; see user_angles). Every quantity is a function of the complex kernel
-    K[t, u, n] = a^H(phi_first,n) a(phi_u) over the N cluster beams; the
-    N_BS dimension is never formed. Each user's row of rho, ||K_u||^2 and
-    the beam gains depends only on that user's angle, gain and anchor, so a
-    configuration whose users are a subset of cfg's (with the same anchors
-    and gains) shares the whole stage: its rows are rows of these.
+    None; see user_angles). Each quantity is a modulus of a product of the
+    kernel K[t, u, n] = a^H(phi_first,n) a(phi_u) = psi_u conj(psi_n) g (see
+    centred_kernel), and G = Psi G_c Psi^H, F_BB = Psi F_c Psi^H, so each is
+    one of the real g: ||K_u||^2 = sum_n g^2, |<K_anchor, K_u>| = |g G_c|,
+    |K_u F_BB^*| = |g F_c|. A user at its anchor's angle (every anchor; all
+    at b = 0) takes the layout's complex-kernel values of that anchor. A
+    user's rows depend only on its angle, gain and anchor, so a configuration
+    whose users are a subset of cfg's (same anchors and gains) shares the
+    whole stage: its rows are rows of these.
     """
     trials = np.asarray(trials, dtype=np.int64)
     _, phi = user_angles(cfg, seed, trials, spread)
-    kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
-    k_user = _norm_sq(kern)
-    # rho: |<K_anchor, K_u>| over the norms; column n of conj(G) is anchor n's row, conjugated
-    cross = (kern @ lay.gram.conj()).reshape(len(trials), -1)[:, lay.own_beam]
+    g = centred_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
+    aligned = phi == phi[:, lay.own_anchor]
+    k_user = np.where(aligned, lay.k_anchor[lay.cluster_of], np.einsum("tun,tun->tu", g, g))
+    # rho: |<K_anchor, K_u>| over the norms; column n of G_c is anchor n's g row
+    cross = (g @ lay.gram_c).reshape(len(trials), -1)[:, lay.own_beam]
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_user[:, lay.own_anchor]), 1.0)
-    rho = np.where(phi == phi[:, lay.own_anchor], 1.0, rho)
-    return _Draw(trials, phi, k_user, rho, *_beam_gains(kern, lay))
-
-
-def _beam_gains(chan: np.ndarray, lay: _Layout):
-    """|h^H F_BB|^2 of the effective channels sqrt(c_beta_sq) * chan, and its own-beam column."""
-    gains = np.abs(chan @ lay.f_bb.conj())
-    gains *= gains
+    rho[aligned] = 1.0
+    gains = (g @ lay.f_c) ** 2
+    np.copyto(gains, lay.unit_gains[lay.cluster_of], where=aligned[:, :, None])
     gains *= lay.c_beta_sq[:, None]
-    return gains, gains.reshape(len(gains), -1)[:, lay.own_beam]
+    return _Draw(trials, phi, k_user, rho, gains)
 
 
 def _view(
@@ -299,8 +317,7 @@ def _view(
         cause = OutOfRange(f"normalized angle {phi[t, u]} outside [-1, 1]")
         raise TrialError(int(draw.trials[t]), cause) from cause
 
-    k_user, rho = draw.k_user[:, users], draw.rho[:, users]
-    beam_gains, own_gain = draw.beam_gains[:, users], draw.own_gain[:, users]
+    k_user, rho, beam_gains = draw.k_user[:, users], draw.rho[:, users], draw.beam_gains[:, users]
     norms = raw_norms = lay.c_beta_sq * k_user
     degenerate = ~np.all(raw_norms > 0.0, axis=1)
     leak_collapsed = np.zeros(len(draw.trials), dtype=bool)
@@ -323,7 +340,7 @@ def _view(
         )
         chan[:, lay.anchors] = lay.gram.T  # the anchors keep their kernel rows, G's columns
         norms = lay.c_beta_sq * _norm_sq(chan)
-        beam_gains, own_gain = _beam_gains(chan, lay)
+        beam_gains = np.abs(chan @ lay.f_bb.conj()) ** 2 * lay.c_beta_sq[:, None]
         del chan
 
     sums = np.add.reduceat(norms, lay.starts, axis=1)
@@ -338,6 +355,7 @@ def _view(
     position = np.empty(norms.shape, dtype=np.int64)
     position[np.arange(len(order))[:, None], order] = lay.user
 
+    own_gain = beam_gains.reshape(len(beam_gains), -1)[:, lay.own_beam]
     inter_gain_unit = (
         np.sum(beam_gains * share_cluster[:, None, :], axis=2)
         - share_cluster[:, lay.cluster_of] * own_gain
@@ -411,11 +429,15 @@ def _evaluate(geo: _Geometry, p_total: float, noise_var: float, b: tuple | None)
     return out
 
 
-def _power(cfg: ScenarioConfig, snr_db: float | None) -> float:
+def _power(cfg: ScenarioConfig, lay: _Layout, snr_db: float | None = None) -> float:
+    """P at snr_db (cfg.snr_db if None); ConfigError if max(1, P, P / sigma^2) zeta_peak overflows."""
     snr = cfg.snr_db if snr_db is None else snr_db
     if not math.isfinite(snr):
         raise ConfigError(f"snr_db must be finite, got {snr}")
-    return cfg.noise_var * _db_to_linear(snr, "snr_db")
+    snr_linear = _db_to_linear(snr, "snr_db")
+    if not math.isfinite(max(1.0, cfg.noise_var * snr_linear, snr_linear) * float(lay.zeta_peak)):
+        raise ConfigError(f"snr_db {snr} dB: {_OVERFLOW}")
+    return cfg.noise_var * snr_linear
 
 
 @dataclass(frozen=True)
@@ -463,7 +485,7 @@ def block_metrics(
     with TrialError naming the lowest such trial.
     """
     lay = _Layout.of(cfg)
-    p_total = _power(cfg, snr_db)
+    p_total = _power(cfg, lay, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels, leak_weighted)
     fields = _evaluate(geo, p_total, cfg.noise_var, _bounds(geo, cfg.noise_var))
     kept = (geo.excluded == 0)[:, None]
@@ -492,7 +514,7 @@ def trial_metrics(
     The one-draw case of block_metrics; an excluded draw raises its exception.
     """
     lay = _Layout.of(cfg)
-    p_total = _power(cfg, snr_db)
+    p_total = _power(cfg, lay, snr_db)
     try:
         geo = _view(_draw(cfg, lay, seed, [trial]), lay, slice(None), model_channels, leak_weighted)
     except TrialError as exc:
@@ -619,7 +641,7 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
 
 
 def validate_spec(spec: ExperimentSpec) -> None:
-    validate_config(spec.scenario)
+    validate_config(spec.scenario)  # not only _Layout.of's: its cache holds n_bs 32 and 32.0 as one
     _check_fields(spec)  # the scenario passed above
     _check_fields(spec.baselines)
     if not spec.scenario_id:
@@ -628,8 +650,6 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"unknown sweep '{spec.sweep_name}'; expected one of {SWEEP_NAMES}")
     if len(spec.sweep_values) == 0:
         raise ConfigError("sweep values must be nonempty")
-    if spec.sweep_name == "snr_db":  # P and P N_BS N_UE |beta|^2 are largest at the largest value
-        validate_config(replace(spec.scenario, snr_db=max(spec.sweep_values)))
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
     if not 0 <= spec.seed < 2**64:  # counter_uniform keys on the seed's low 64 bits
@@ -656,6 +676,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
         labels = [_system_label(b, True) for b in spec.misalign_grid]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"misalign_grid values share a system label: {labels}")
+    _Layout.of(spec.scenario)  # its gains and own power against its precoder
+    for cfg, lay, views in _draws(spec):  # each configuration drawn, at its largest power
+        _power(cfg, lay, max(snr for view in views for _, snr in view.cells))
 
 
 class _View(NamedTuple):
@@ -726,7 +749,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
                 terms = _bounds(geo, cfg.noise_var) if spec.baselines.hb_lb else None
                 # one SNR's fields at a time on the view's terms: memory stays that of one view
                 for c, (_, snr) in enumerate(view.cells):
-                    fields = _evaluate(geo, _power(cfg, snr), cfg.noise_var, terms)
+                    fields = _evaluate(geo, _power(cfg, lay, snr), cfg.noise_var, terms)
                     for i, rows in enumerate(map(slice, ends - lens, ends)):
                         accs[i, d, v, c].add({k: x[rows][kept[rows]] for k, x in fields.items()})
 
@@ -741,10 +764,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         cells.append(acc.cell(label, value, view.layout, counts[i] - acc.n))
 
     cells += [
-        _baseline_cell(system, cfg, view.layout, value, _power(cfg, snr))
+        _baseline_cell(system, cfg, view.layout, value, _power(cfg, lay, snr))
         for system in ("fd", "oma")
         if getattr(spec.baselines, system)
-        for cfg, _, views in draws
+        for cfg, lay, views in draws
         for view in views
         for value, snr in view.cells
     ]

@@ -197,6 +197,11 @@ def test_user_bounds_wires_scalars_together():
         finv_diag=one,
         f_bb=np.ones((1, 1)),
         r_gram=np.ones((1, 1)),
+        gram_c=np.ones((1, 1)),
+        f_c=np.ones((1, 1)),
+        k_anchor=one,
+        unit_gains=np.ones((1, 1)),
+        zeta_peak=np.array(250.0),
     )
     row = np.ones((1, 1))
     geo = _Geometry(

@@ -11,6 +11,7 @@ value) whose counts, users, manifest entry and CSV bytes all agree.
 import copy
 import json
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config
+from hbnoma import block_metrics, montecarlo, trial_metrics
 from hbnoma.channel import ClusterSpec, ScenarioConfig, validate_config
-from hbnoma.cli import config_to_spec, main
+from hbnoma.cli import config_to_spec, main, spec_to_config
 from hbnoma.errors import ConfigError
 from hbnoma.montecarlo import CHUNK, Baselines, preset, run_experiment, validate_spec
 
@@ -303,3 +305,62 @@ def test_power_times_array_gain_that_overflows_is_rejected(make, field):
         validate_spec(spec)
     with pytest.raises(ConfigError, match=field):
         run_experiment(spec)
+
+
+def _fig5_at(snr_db):
+    return replace(preset("fig5"), sweep_values=(snr_db,), trials=3)
+
+
+def _fig4a_gain(gain_db):
+    # the first user's gain at gain_db, heard at -300 dB: P is tiny, c|beta|^2 is not
+    spec = preset("fig4a")
+    first = spec.scenario.clusters[0]
+    cluster = replace(first, gains_db=(gain_db,) + first.gains_db[1:])
+    scenario = replace(_with_first_cluster(spec, cluster), snr_db=-300.0)
+    return replace(spec, scenario=scenario, sweep_values=(-300.0,), trials=3)
+
+
+def _rejected(spec) -> bool:
+    try:
+        validate_spec(spec)
+    except ConfigError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "make, value, field",
+    [(_fig5_at, 3058.46, "snr_db 3058.46"), (_fig4a_gain, 3058.46, "gains_db entry 3058.46")],
+    ids=["fig5 snr", "fig4a gain"],
+)
+def test_the_engines_largest_product_bounds_the_power_rule(tmp_path, make, value, field):
+    # both pass a rule on P N_BS N_UE |beta|^2 alone and then overflowed in the run: ||K_u||^2
+    # (up to N) and the beam gains |K_u F_BB^*|^2 (up to N max_n ||F_BB[:, n]||^2) multiply it
+    spec = make(value)
+    for check in (validate_spec, run_experiment):
+        with pytest.raises(ConfigError, match=field):
+            check(spec)
+    code, out = run_cli(tmp_path, spec_to_config(spec), 1)
+    assert code == 1 and not out.exists()
+    # the largest value just inside the rule runs all its trials without a numpy warning
+    inside, outside = 3000.0, value
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        inside, outside = (inside, mid) if _rejected(make(mid)) else (mid, outside)
+    assert outside - inside < 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_experiment(make(inside))
+    random = [cell for cell in table.cells if cell.trials == 3]
+    assert random and all(np.isfinite(cell.rate_exact).all() for cell in table.cells)
+
+
+@pytest.mark.parametrize("call", [block_metrics, trial_metrics])
+def test_an_snr_argument_past_the_power_rule_is_rejected_before_drawing(monkeypatch, call):
+    # the snr_db argument bypassed the rule: non-finite rates, none excluded, numpy warnings
+    scenario = preset("fig4a").scenario
+    call(scenario, 1, [0] if call is block_metrics else 0, snr_db=3000.0)  # inside the rule
+    monkeypatch.setattr(montecarlo, "_draw", lambda *args: pytest.fail("drew past the rule"))
+    for snr_db in (3080.0, 3058.46):
+        with pytest.raises(ConfigError, match=f"snr_db {snr_db}"):
+            call(scenario, 1, range(4) if call is block_metrics else 0, snr_db=snr_db)

@@ -24,6 +24,7 @@ from hbnoma import (
     trial_metrics,
     user_angles,
 )
+from hbnoma.channel import centred_kernel
 from hbnoma.errors import (
     ConfigError,
     DegenerateScenario,
@@ -334,32 +335,75 @@ def test_equal_configs_share_one_cached_layout():
         first[0].user[0] = 9
 
 
+def _real_draw_rows(g, phi, lay):
+    """k_user, rho, the beam gains and their own-beam column from the centred-kernel rows g."""
+    aligned = phi == phi[:, lay.own_anchor]
+    k_user = np.where(aligned, lay.k_anchor[lay.cluster_of], np.einsum("tun,tun->tu", g, g))
+    cross = np.take_along_axis(g @ lay.gram_c, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
+    k_anchor = k_user[:, lay.anchors][:, lay.cluster_of]
+    rho = np.where(aligned, 1.0, np.minimum(np.abs(cross) / np.sqrt(k_user * k_anchor), 1.0))
+    gains = (g @ lay.f_c) ** 2
+    np.copyto(gains, lay.unit_gains[lay.cluster_of], where=aligned[:, :, None])
+    gains *= lay.c_beta_sq[:, None]
+    own_gain = np.take_along_axis(gains, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
+    return k_user, rho, gains, own_gain
+
+
+def _complex_draw_rows(phi, lay, n_bs):
+    """The same from the complex kernel, as the draw stage computed them before the real route."""
+    kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], n_bs)
+    k_user = _norm_sq(kern)
+    cross = (kern @ lay.gram.conj()).reshape(len(phi), -1)[:, lay.own_beam]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_user[:, lay.own_anchor]), 1.0)
+    rho = np.where(phi == phi[:, lay.own_anchor], 1.0, rho)
+    gains = np.abs(kern @ lay.f_bb.conj())
+    gains *= gains
+    gains *= lay.c_beta_sq[:, None]
+    return k_user, rho, gains, gains.reshape(len(gains), -1)[:, lay.own_beam]
+
+
 def test_draw_rows_equal_each_size_computed_alone():
     # a cluster_size sweep computes k_user, rho and the beam gains once, on
     # the largest size's users; each size's rows of them must be, bit for
-    # bit, what that size computes on its own kernel rows
+    # bit, what that size computes on its own centred-kernel rows
     spec = preset("fig4c")
     ((cfg, lay, views),) = _draws(spec)
     draw = _draw(cfg, lay, spec.seed, range(CHUNK, 2 * CHUNK))
+    g = centred_kernel(draw.phi[:, :, None] - draw.phi[:, None, lay.anchors], cfg.n_bs)
     for view in views:
         own = view.layout
-        kern = dirichlet_kernel(draw.phi[:, :, None] - draw.phi[:, None, lay.anchors], cfg.n_bs)
-        kern = kern[:, view.users]
-        k_user = _norm_sq(kern)
-        cross = kern @ kern[:, own.anchors].conj().transpose(0, 2, 1)
-        cross = np.take_along_axis(cross, own.cluster_of[None, :, None], axis=2)[:, :, 0]
-        k_anchor = k_user[:, own.anchors][:, own.cluster_of]
-        rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_anchor), 1.0)
-        phi = draw.phi[:, view.users]
-        rho = np.where(phi == phi[:, own.anchors[own.cluster_of]], 1.0, rho)
-        gains = np.abs(kern @ lay.f_bb.conj())
-        gains *= gains
-        gains *= own.c_beta_sq[:, None]
-        own_gain = np.take_along_axis(gains, own.cluster_of[None, :, None], axis=2)[:, :, 0]
+        rows = _real_draw_rows(g[:, view.users], draw.phi[:, view.users], own)
+        k_user, rho, gains, own_gain = rows
+        geo = _view(draw, own, view.users, model_channels=False, leak_weighted=True)
         np.testing.assert_array_equal(draw.k_user[:, view.users], k_user)
         np.testing.assert_array_equal(draw.rho[:, view.users], rho)
         np.testing.assert_array_equal(draw.beam_gains[:, view.users], gains)
-        np.testing.assert_array_equal(draw.own_gain[:, view.users], own_gain)
+        np.testing.assert_array_equal(geo.own_gain, own_gain)
+
+
+@given(
+    delta=st.one_of(
+        st.floats(-2.0, 2.0),
+        st.sampled_from([0.0, 2.0, -2.0, 1.0, -1.0]),
+        st.floats(1e-12, 1e-3).flatmap(lambda e: st.sampled_from([2.0 - e, e - 2.0, e, -e])),
+    ),
+    n=st.sampled_from([1, 2, 3, 7, 16, 31, 32, 63, 64, 127, 128]),
+)
+@settings(max_examples=300)
+def test_centred_kernel_times_its_phases_is_the_complex_kernel(delta, n):
+    # a^H(phi) a(phi + delta) = psi(phi + delta) conj(psi(phi)) g(delta) with
+    # psi(phi) = exp(-j pi (n-1) phi / 2); near 0 and the grating lobes at +-2 the
+    # ratio form is 0/0, and for even n past |delta| = 1 g takes the sign (-1)^((n-1) k)
+    g = centred_kernel(np.array([delta]), n)
+    assert g.dtype == np.float64 and abs(g[0]) <= 1.0
+    phases = np.exp(-0.5j * np.pi * (n - 1) * delta)
+    assert abs(phases * g[0] - dirichlet_kernel(np.array([delta]), n)[0]) <= 1e-14 * n
+    if abs(delta) <= 1.0:  # the steering vectors' own angles stay in [-1, 1]
+        direct = np.vdot(steering_vector(0.0, n), steering_vector(delta, n))
+        assert abs(phases * g[0] - direct) <= 1e-14 * n
+    if delta in (0.0, 2.0, -2.0):
+        assert g[0] == (1.0 if delta == 0.0 or n % 2 else -1.0)
 
 
 def test_decode_positions_equal_the_lexsort_order_on_tied_norms():
@@ -481,6 +525,45 @@ def test_kappa_stack_equals_the_complex_zeroed_route(cfg):
     np.testing.assert_array_equal(lay.r_gram, rotated.real)
     assert np.max(np.abs(rotated.imag)) <= 1e-14 * np.max(np.abs(rotated.real))
     assert bool(lay.singular) == (cfg.clusters[0].aod_deg == cfg.clusters[-1].aod_deg and n > 1)
+
+
+@pytest.mark.parametrize("cfg", _kappa_configs())
+def test_real_draw_equals_the_complex_kernel_formulas(cfg):
+    # the real route against the complex formulas on 64 trials of random
+    # layouts, one and two clusters, grating-lobe pairs and a singular Gram
+    lay = _Layout.of(cfg)
+    draw = _draw(cfg, lay, 11, range(CHUNK))
+    k_user, rho, gains, own_gain = _complex_draw_rows(draw.phi, lay, cfg.n_bs)
+    geo = _view(draw, lay, slice(None), model_channels=False, leak_weighted=True)
+    np.testing.assert_allclose(draw.k_user, k_user, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(draw.rho, rho, rtol=1e-13, atol=1e-13)
+    # the zero-forcing nulls are near 0 on both routes: a gain is compared on its user's scale
+    scale = np.max(gains, axis=2, keepdims=True)
+    assert np.all(np.abs(draw.beam_gains - gains) <= 1e-13 * scale)
+    assert np.all(np.abs(geo.own_gain - own_gain) <= 1e-13 * scale[:, :, 0])
+    # G = Psi G_c Psi^H and F_BB = Psi F_c Psi^H, Psi = diag(exp(j pi (N_BS - 1) phi_n / 2))
+    phi = user_angles(cfg, 0, [0], 0.0)[1][0, lay.anchors]
+    psi = np.exp(0.5j * np.pi * (cfg.n_bs - 1) * phi)
+    for real, full in ((lay.gram_c, lay.gram), (lay.f_c, lay.f_bb)):
+        turned = psi[:, None] * real * psi.conj()
+        np.testing.assert_allclose(turned, full, rtol=0, atol=1e-14 * np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("cfg", _kappa_configs())
+def test_aligned_rows_keep_the_complex_kernels_bits(cfg):
+    # b = 0 rows and every anchor take the layout's complex-kernel values, so
+    # RNG-free cells keep their bytes; the complex route's are computed here
+    # on the draw's own block, as the draw stage did
+    lay = _Layout.of(cfg)
+    trials = np.arange(CHUNK)
+    draw = _draw(cfg, lay, 3, trials, np.where(trials % 2 == 0, 0.0, cfg.misalign_deg + 2.0))
+    aligned = draw.phi == draw.phi[:, lay.own_anchor]
+    assert aligned[::2].all() and aligned[:, lay.anchors].all()
+    assert not aligned[1::2].all() or len(lay.anchors) == len(lay.user)
+    k_user, rho, gains, _ = _complex_draw_rows(draw.phi, lay, cfg.n_bs)
+    np.testing.assert_array_equal(draw.k_user[aligned], k_user[aligned])
+    np.testing.assert_array_equal(draw.rho[aligned], rho[aligned])
+    np.testing.assert_array_equal(draw.beam_gains[aligned], gains[aligned])
 
 
 def test_precoder_is_inverted_once_per_configuration(monkeypatch):

@@ -1,6 +1,8 @@
 """Smoke runs of the example scripts, which import the public API."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from hbnoma.montecarlo import PRESETS
@@ -31,3 +33,16 @@ def test_bound_tightness_prints_every_user(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["snr_db", "user", "exact", "lb1", "lb2", "gap", "gap_ub"]
     assert len(lines) == 1 + 4 * 3  # four SNRs, three users
+
+
+def test_ab_time_compares_a_tree_with_itself():
+    src = str(SCRIPTS.parent / "src")
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_time.py"), src, src, "1"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    header, *rows = run.stdout.splitlines()
+    assert header.split()[:4] == ["workload", "old_ms", "new_ms", "old/new"]
+    assert [row.split()[0] for row in rows] == ["size_sweep", "snr_sweep", "single_draw"]
+    for row in rows:
+        assert all(float(x) > 0.0 for x in row.split()[1:])
