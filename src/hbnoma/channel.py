@@ -49,15 +49,9 @@ class ScenarioConfig:
     clusters: tuple[ClusterSpec, ...]
     n_bs: int = 32
     n_ue: int = 8
-    n_rf: int | None = None
     spacing_over_wavelength: float = 0.5
     misalign_deg: float = 0.0
     snr_db: float = 10.0
-    noise_var: float = 1.0
-
-    @property
-    def n_rf_effective(self) -> int:
-        return self.n_rf if self.n_rf is not None else len(self.clusters)
 
 
 def _reduced_ratio(delta, n_elements: int) -> tuple[np.ndarray, ...]:
@@ -110,7 +104,9 @@ def gain_db_to_beta(gain_db: float) -> complex:
 
 
 def _db_to_linear(value_db: float, name: str) -> float:
-    """10^(value_db / 10); ConfigError naming the field when that overflows a float."""
+    """10^(value_db / 10); ConfigError naming the field if value_db or that is no finite float."""
+    if not _finite_real(value_db):
+        raise ConfigError(f"{name} must be finite, got {value_db}")
     try:
         return 10.0 ** (value_db / 10.0)
     except OverflowError:
@@ -121,24 +117,31 @@ def _real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
 
 
+def _finite_real(value) -> bool:
+    try:
+        return _real(value) and math.isfinite(value)
+    except OverflowError:  # an int past the float range, which float() cannot convert either
+        return False
+
+
 def _floats(values) -> tuple | None:
-    """values as a tuple of floats; a non-real entry stays as it is, for _check_fields to name."""
-    return None if values is None else tuple(float(v) if _real(v) else v for v in values)
+    """values as floats in a tuple; any entry but a finite real stays, for _check_fields to name."""
+    return None if values is None else tuple(float(v) if _finite_real(v) else v for v in values)
 
 
 def _check_fields(obj) -> None:
-    """Raise ConfigError for a NaN or inf in a field of obj, or a scalar field of the wrong type."""
+    """Raise ConfigError for a non-finite number in a field of obj, or a field of the wrong type."""
     # NaN or inf ends in NaN rates or a numpy error, 8.0 in a TypeError, "10" dB in one late;
     # True would count as 1 and "no" as true. A float field or entry takes any real number but a bool
     for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
-        floats = (value,) if isinstance(value, (float, np.floating)) else ()
+        floats = (value,) if _real(value) else ()
         if tuple[float, ...] in kinds and isinstance(value, tuple):  # a cluster has its own check
-            if not set(map(type, value)) <= {float}:  # _floats made every real entry a float
+            if not all(map(_real, value)):
                 raise ConfigError(f"{name} entries must be real numbers, got {value!r}")
             floats = value
-        if not all(map(math.isfinite, floats)):
+        if not all(map(_finite_real, floats)):
             raise ConfigError(f"{name} must be finite, got {value}")
         for kind in {int, float, bool, str}.intersection(kinds):
             if type(value) not in kinds and not (kind is float and _real(value)):  # None if optional
@@ -149,19 +152,14 @@ def _check_fields(obj) -> None:
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError for a value draws cannot be made from (overflow: see montecarlo._power)."""
     _check_fields(cfg)
-    n = len(cfg.clusters)
-    if n == 0:
+    if not cfg.clusters:
         raise ConfigError("configuration has no clusters")
-    if n > cfg.n_rf_effective:
-        raise ConfigError(f"{n} clusters exceed {cfg.n_rf_effective} RF chains")
     if cfg.n_bs < 1 or cfg.n_ue < 1:
         raise ConfigError("antenna counts must be at least 1")
     if not cfg.spacing_over_wavelength > 0:
         raise ConfigError(f"element spacing must be positive, got {cfg.spacing_over_wavelength}")
     if cfg.misalign_deg < 0:
         raise ConfigError(f"misalignment spread must be >= 0, got {cfg.misalign_deg}")
-    if not cfg.noise_var > 0:
-        raise ConfigError(f"noise variance must be positive, got {cfg.noise_var}")
     for idx, cluster in enumerate(cfg.clusters, start=1):
         _check_fields(cluster)
         if len(cluster.gains_db) == 0:

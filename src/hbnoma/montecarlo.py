@@ -58,6 +58,7 @@ CHUNK = 64
 CONDITION_CAP = 1e10  # a Gram matrix with a larger condition number is singular
 LEAK_NORM_FLOOR = 1e-12  # below this the leakage combination has no direction
 SWEEP_NAMES = ("snr_db", "n_bs", "cluster_size")
+_ONE_CLUSTER = "model-generated channels need at least two clusters"
 _OVERFLOW = "P N_BS N_UE |beta|^2 times the beam gains overflows a float"
 
 
@@ -237,7 +238,7 @@ class _Geometry:
     kappa_s_unit: np.ndarray | None  # (T, N); None when the bounds are skipped
 
 
-def _bounds(geo: _Geometry, noise_var: float) -> tuple[np.ndarray, ...]:
+def _bounds(geo: _Geometry) -> tuple[np.ndarray, ...]:
     """The left prefixes of geo's bound formulas that read no power, once for all its powers.
 
     (T, U) each, in the order _evaluate unpacks them: rho^2, 1 - rho^2, (1 - rho^2) c|beta|^2,
@@ -247,9 +248,9 @@ def _bounds(geo: _Geometry, noise_var: float) -> tuple[np.ndarray, ...]:
     lay, rho_sq = geo.layout, geo.rho**2
     miss = 1.0 - rho_sq
     k_first = geo.k_first[:, lay.cluster_of]
-    zeta_noise = noise_var * k_first / (lay.kappa_min * geo.k_user)
+    zeta_noise = k_first / (lay.kappa_min * geo.k_user)
     with np.errstate(divide="ignore", invalid="ignore"):
-        noise = noise_var / (geo.k_user * lay.c_beta_sq)
+        noise = 1.0 / (geo.k_user * lay.c_beta_sq)
     return (
         rho_sq, miss, miss * lay.c_beta_sq, rho_sq * lay.kappa_min,
         geo.kappa_s_unit[:, lay.cluster_of], k_first, zeta_noise, noise, geo.position >= 2,
@@ -309,7 +310,7 @@ def _view(
     """
     n = len(lay.anchors)
     if model_channels and n < 2:
-        raise ConfigError("model-generated channels need at least two clusters")
+        raise ConfigError(_ONE_CLUSTER)
     phi = draw.phi[:, users]
     bad = np.abs(phi) > 1.0 + ANGLE_SLACK
     if bad.any():
@@ -396,19 +397,16 @@ def _log2p(x: np.ndarray) -> np.ndarray:
     return np.log1p(x) / LOG2
 
 
-def _evaluate(geo: _Geometry, p_total: float, noise_var: float, b: tuple | None) -> dict:
-    """Per-user (T, U) fields at one power: exact rate, gap and, given b from _bounds, bounds."""
+def _evaluate(geo: _Geometry, p_total: float, b: tuple | None) -> dict:
+    """Per-user (T, U) fields at SNR p_total, sigma^2 = 1: exact rate, gap and, given b, bounds."""
     lay = geo.layout
     p_user = p_total * geo.share_user
     p_earlier = p_total * geo.share_earlier
     cb = lay.c_beta_sq
     rate = _log2p(
-        p_user * geo.own_gain
-        / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + noise_var)
+        p_user * geo.own_gain / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + 1.0)
     )
-    aligned = _log2p(
-        p_user * cb / (p_earlier * cb + noise_var * lay.finv_diag[lay.cluster_of])
-    )
+    aligned = _log2p(p_user * cb / (p_earlier * cb + lay.finv_diag[lay.cluster_of]))
     out = {"rho": geo.rho, "rate_exact": rate, "rate_gap": aligned - rate}
     if b is None:
         return out
@@ -421,7 +419,7 @@ def _evaluate(geo: _Geometry, p_total: float, noise_var: float, b: tuple | None)
         den = rho_sq_kappa * p_earlier / k_first
         gap_ub = np.where(den > 0.0, _log2p(num / np.where(den > 0.0, den, 1.0)), np.inf)
     out.update(
-        rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + noise_var / lay.kappa_min)),
+        rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + 1.0 / lay.kappa_min)),
         rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),
         gap_ub_thm3=gap_ub,
         gap_ub_applicable=later & np.isfinite(gap_ub),
@@ -430,14 +428,12 @@ def _evaluate(geo: _Geometry, p_total: float, noise_var: float, b: tuple | None)
 
 
 def _power(cfg: ScenarioConfig, lay: _Layout, snr_db: float | None = None) -> float:
-    """P at snr_db (cfg.snr_db if None); ConfigError if max(1, P, P / sigma^2) zeta_peak overflows."""
+    """P at snr_db (cfg's if None), sigma^2 = 1; ConfigError if max(1, P) zeta_peak overflows."""
     snr = cfg.snr_db if snr_db is None else snr_db
-    if not math.isfinite(snr):
-        raise ConfigError(f"snr_db must be finite, got {snr}")
     snr_linear = _db_to_linear(snr, "snr_db")
-    if not math.isfinite(max(1.0, cfg.noise_var * snr_linear, snr_linear) * float(lay.zeta_peak)):
+    if not math.isfinite(max(1.0, snr_linear) * float(lay.zeta_peak)):
         raise ConfigError(f"snr_db {snr} dB: {_OVERFLOW}")
-    return cfg.noise_var * snr_linear
+    return snr_linear
 
 
 @dataclass(frozen=True)
@@ -487,7 +483,7 @@ def block_metrics(
     lay = _Layout.of(cfg)
     p_total = _power(cfg, lay, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels, leak_weighted)
-    fields = _evaluate(geo, p_total, cfg.noise_var, _bounds(geo, cfg.noise_var))
+    fields = _evaluate(geo, p_total, _bounds(geo))
     kept = (geo.excluded == 0)[:, None]
     applicable = fields.pop("gap_ub_applicable") & kept
     fields = {name: np.where(kept, value, np.nan) for name, value in fields.items()}
@@ -524,7 +520,7 @@ def trial_metrics(
         raise _singular_gram_error(lay.gram)
     if code:
         raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
-    fields = _evaluate(geo, p_total, cfg.noise_var, _bounds(geo, cfg.noise_var))
+    fields = _evaluate(geo, p_total, _bounds(geo))
     return TrialMetrics(
         cluster=lay.cluster_of + 1,
         user=lay.user,
@@ -660,6 +656,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
             "a cluster_size sweep needs it and any other sweep ignores it"
         )
     n_clusters = len(spec.scenario.clusters)
+    if spec.baselines.model_channels and n_clusters < 2:
+        raise ConfigError(_ONE_CLUSTER)
     if spec.observe_cluster is not None and not 1 <= spec.observe_cluster <= n_clusters:
         raise ConfigError(f"observe_cluster={spec.observe_cluster} outside 1..{n_clusters}")
     if len(set(spec.sweep_values)) < len(spec.sweep_values):
@@ -746,10 +744,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             ends = np.cumsum(lens)
             for v, (view, geo) in enumerate(zip(views, geos)):
                 kept = geo.excluded == 0
-                terms = _bounds(geo, cfg.noise_var) if spec.baselines.hb_lb else None
+                terms = _bounds(geo) if spec.baselines.hb_lb else None
                 # one SNR's fields at a time on the view's terms: memory stays that of one view
                 for c, (_, snr) in enumerate(view.cells):
-                    fields = _evaluate(geo, _power(cfg, lay, snr), cfg.noise_var, terms)
+                    fields = _evaluate(geo, _power(cfg, lay, snr), terms)
                     for i, rows in enumerate(map(slice, ends - lens, ends)):
                         accs[i, d, v, c].add({k: x[rows][kept[rows]] for k, x in fields.items()})
 
@@ -785,7 +783,7 @@ def _baseline_cell(
     decoding strongest c|beta|^2 first, with the cluster powers split in
     proportion to the summed c|beta|^2 and equally inside each cluster. OMA:
     each user alone at full power on its own beam, SINR P c |beta|^2 / sigma^2;
-    the frame average divides the rates by the user count later.
+    the frame average divides the rates by the user count later. sigma^2 = 1 (see _power).
     """
     if system == "fd":
         norms = [lay.c_beta_sq[s : s + m] for s, m in zip(lay.starts, lay.sizes)]
@@ -797,12 +795,12 @@ def _baseline_cell(
             earlier = 0.0  # power of the users decoded so far, summed in order
             for idx in np.argsort(-cluster, kind="stable"):
                 gain = cluster[idx]
-                sinr[start + idx] = p * gain / (earlier * gain + cfg.noise_var)
+                sinr[start + idx] = p * gain / (earlier * gain + 1.0)
                 earlier += p
     else:
         # (P c) |beta|^2, not P (c |beta|^2): the two differ in the
         # last bit unless c is a power of two
-        sinr = (p_total * float(cfg.n_bs * cfg.n_ue)) * lay.beta_sq / cfg.noise_var
+        sinr = (p_total * float(cfg.n_bs * cfg.n_ue)) * lay.beta_sq
     # scalar log1p: numpy's differs in the last bit for some values
     rate = np.array([math.log1p(x) / LOG2 for x in sinr])
     return ResultCell(
@@ -846,7 +844,7 @@ def _fig5_config() -> ScenarioConfig:
     # cluster i + 1 at 10 (i + 1) deg, 4 + 2 i users spread over 0..-18 dB
     gains = [np.linspace(0.0, -18.0, 4 + 2 * i) for i in range(8)]
     clusters = tuple(ClusterSpec(10.0 * (i + 1), g) for i, g in enumerate(gains))
-    return ScenarioConfig(clusters=clusters, n_rf=8)
+    return ScenarioConfig(clusters=clusters)
 
 
 _PRESET_SPECS = {

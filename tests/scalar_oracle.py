@@ -40,6 +40,7 @@ from hbnoma.errors import (
 from hbnoma.montecarlo import CONDITION_CAP, LEAK_NORM_FLOOR
 
 LOG2 = math.log(2.0)
+NOISE_VAR = 1.0  # sigma^2: powers are in units of the noise power, so P is the SNR
 
 
 # ------------------------------------------------------------------ scenario
@@ -91,8 +92,8 @@ def synthesize_scenario(cfg, seed: int, trial: int = 0) -> Scenario:
         clusters=clusters,
         n_bs=cfg.n_bs,
         array_gain=float(cfg.n_bs * cfg.n_ue),
-        total_power=cfg.noise_var * 10.0 ** (cfg.snr_db / 10.0),
-        noise_var=cfg.noise_var,
+        total_power=NOISE_VAR * 10.0 ** (cfg.snr_db / 10.0),
+        noise_var=NOISE_VAR,
     )
 
 
@@ -339,7 +340,7 @@ def scalar_trial(cfg, seed, trial, snr_db, model_channels, leak_weighted):
                         rho[n][m], h1 / np.linalg.norm(h1), leak
                     )
     norms = [np.array([float(np.vdot(h, h).real) for h in cl]) for cl in eff]
-    p_total = cfg.noise_var * 10.0 ** (snr_db / 10.0)
+    p_total = scen.noise_var * 10.0 ** (snr_db / 10.0)
     alloc = allocate_power(norms, p_total)
     out = {name: [] for name in FIELDS + ("position", "gap_ub_thm3", "gap_ub_applicable")}
     for n, cl in enumerate(scen.clusters):
@@ -351,21 +352,21 @@ def scalar_trial(cfg, seed, trial, snr_db, model_channels, leak_weighted):
             earlier = float(sum(alloc.user_power[n][i] for i in order[: position - 1]))
             c_beta_sq = c * abs(link.beta) ** 2
             exact = exact_rate(
-                eff[n][m], pre.f_bb, n, own, earlier, alloc.cluster_power, cfg.noise_var
+                eff[n][m], pre.f_bb, n, own, earlier, alloc.cluster_power, scen.noise_var
             )
             aligned = rate_from_terms(
-                own * c_beta_sq, earlier * c_beta_sq, 0.0, cfg.noise_var * pre.inv_gram_diag[n]
+                own * c_beta_sq, earlier * c_beta_sq, 0.0, scen.noise_var * pre.inv_gram_diag[n]
             )
             terms = (rho[n][m], c_beta_sq, kappa_s, pre.kappa_min, k_first[n], k_user[n][m])
-            gap_ub, defined = theorem3_gap_bound(earlier, *terms, cfg.noise_var, position)
+            gap_ub, defined = theorem3_gap_bound(earlier, *terms, scen.noise_var, position)
             out["position"].append(position)
             out["rho"].append(rho[n][m])
             out["rate_exact"].append(exact)
             out["rate_lb_thm1"].append(
-                theorem1_lower_bound(own, earlier, c_beta_sq, pre.kappa_min, cfg.noise_var)
+                theorem1_lower_bound(own, earlier, c_beta_sq, pre.kappa_min, scen.noise_var)
             )
             out["rate_lb_thm2"].append(
-                theorem2_lower_bound(own, earlier, *terms, cfg.noise_var)[0]
+                theorem2_lower_bound(own, earlier, *terms, scen.noise_var)[0]
             )
             out["rate_gap"].append(aligned - exact)
             out["gap_ub_thm3"].append(gap_ub)

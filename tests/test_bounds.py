@@ -217,7 +217,7 @@ def test_user_bounds_wires_scalars_together():
         k_first=2.0 * row,
         kappa_s_unit=1.25 * row,  # kappa_max(S) 5
     )
-    out = _evaluate(geo, p_total=4.0, noise_var=1.0, b=_bounds(geo, noise_var=1.0))
+    out = _evaluate(geo, p_total=4.0, b=_bounds(geo))
     assert out["rate_lb_thm1"][0, 0] == pytest.approx(1.5730393333453367, abs=1e-12)
     assert out["rate_lb_thm2"][0, 0] == pytest.approx(0.5907088042640725, abs=1e-12)
     assert out["gap_ub_thm3"][0, 0] == pytest.approx(1.9828293000597461, abs=1e-12)

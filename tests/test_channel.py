@@ -151,8 +151,6 @@ def test_validate_config_errors():
             ScenarioConfig(clusters=(good, ClusterSpec(aod_deg=20.0, gains_db=())))
         )
     with pytest.raises(ConfigError):
-        validate_config(ScenarioConfig(clusters=(good,) * 3, n_rf=2))
-    with pytest.raises(ConfigError):
         validate_config(ScenarioConfig(clusters=(ClusterSpec(aod_deg=95.0, gains_db=(0.0,)),)))
     with pytest.raises(ConfigError):
         validate_config(ScenarioConfig(clusters=(good,), misalign_deg=-1.0))

@@ -172,11 +172,14 @@ def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys,
         assert not dump.exists()
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "1e400", "1" + "0" * 400],
+    ids=["NaN", "Infinity", "1e400", "10**400"],
+)
 @pytest.mark.parametrize(
     "path",
     [
-        ("scenario", "noise_var"),
         ("scenario", "snr_db"),
         ("scenario", "misalign_deg"),
         ("scenario", "spacing_over_wavelength"),
@@ -188,7 +191,8 @@ def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys,
     ids=lambda path: ".".join(map(str, path)),
 )
 def test_run_rejects_non_finite_numbers(tmp_path, capsys, path, literal):
-    # Python's json reads all three literals (1e400 overflows to inf)
+    # Python's json reads all four literals: 1e400 overflows to inf, and
+    # 10**400 is an int that no float holds
     doc = json.loads(json.dumps(dict(VALID_CONFIG, misalign_grid=[0.0, 3.0])))
     *parents, last = path
     target = doc
@@ -198,8 +202,9 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, path, literal):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc).replace("1234.5", literal))
     out = tmp_path / "x.csv"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "must be finite" in capsys.readouterr().err
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -251,10 +256,23 @@ def test_config_rejects_misplaced_observe(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
-def test_run_rejects_hb_exact_false(tmp_path, capsys):
-    cfg = write_config(tmp_path, dict(VALID_CONFIG, baselines={"hb_exact": False}))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
-    assert "hb_exact" in capsys.readouterr().err
+# fields that were deleted: configs and manifests of earlier versions may carry them
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param("baselines.hb_exact", False, id="baselines.hb_exact"),
+        pytest.param("scenario.noise_var", 1.0, id="scenario.noise_var"),
+        pytest.param("scenario.n_rf", 5, id="scenario.n_rf"),
+    ],
+)
+def test_run_rejects_deleted_fields(tmp_path, capsys, path, value):
+    section, key = path.split(".")
+    doc = json.loads(json.dumps(VALID_CONFIG))
+    doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x.csv")]):
+        assert main([*argv, "--config", cfg]) == 1
+        assert f"config field '{path}': unknown field" in capsys.readouterr().err
 
 
 def test_run_rejects_repeated_sweep_value(tmp_path, capsys):

@@ -49,6 +49,10 @@ FLAWS = {
     "a dB value that overflows": lambda doc, n: doc["scenario"].update(snr_db=1e300),
     "shared system label": lambda doc, n: doc.update(misalign_grid=[2.5, 2.5]),
     "hb_exact false": lambda doc, n: doc.setdefault("baselines", {}).update(hb_exact=False),
+    "model_channels on one cluster": lambda doc, n: (
+        doc["scenario"].update(clusters=doc["scenario"]["clusters"][:1]),
+        doc.setdefault("baselines", {}).update(model_channels=True),
+    ),
     # JSON numbers that only look like integers: range() and indexing would raise TypeError
     "trials 8.0": lambda doc, n: doc.update(trials=8.0),
     "observe_cluster 1.0": lambda doc, n: doc.update(
@@ -251,7 +255,7 @@ def test_scalar_fields_of_a_python_spec_take_their_annotated_type(flaw):
 def test_float_fields_of_a_python_spec_take_ints_and_numpy_floats():
     spec = config_to_spec(FLAWLESS)
     scenario = replace(
-        spec.scenario, snr_db=np.float32(12.5), misalign_deg=3, noise_var=np.int64(2)
+        spec.scenario, snr_db=np.int64(12), misalign_deg=3, spacing_over_wavelength=np.float32(0.5)
     )
     run_experiment(replace(spec, scenario=scenario))
 

@@ -272,10 +272,11 @@ def _with_first_cluster(cfg, cluster):
     "cfg, snr_db",
     [
         pytest.param(dataclasses.replace(FIG4A, misalign_deg=math.nan), 15.0, id="misalign_deg"),
+        # an int that no float holds: float() and math.isfinite raise OverflowError on it
+        pytest.param(dataclasses.replace(FIG4A, misalign_deg=10**400), 15.0, id="misalign_deg-int"),
         pytest.param(
             dataclasses.replace(FIG4A, spacing_over_wavelength=math.inf), 15.0, id="spacing"
         ),
-        pytest.param(dataclasses.replace(FIG4A, noise_var=math.inf), 15.0, id="noise_var"),
         pytest.param(dataclasses.replace(FIG4A, snr_db=math.nan), None, id="snr_db-field"),
         pytest.param(
             _with_first_cluster(FIG4A, ClusterSpec(math.nan, (0.0,))), 15.0, id="aod_deg"
@@ -285,6 +286,7 @@ def _with_first_cluster(cfg, cluster):
         ),
         pytest.param(FIG4A, math.nan, id="snr_db-argument"),
         pytest.param(FIG4A, math.inf, id="snr_db-argument-inf"),
+        pytest.param(FIG4A, -(10**400), id="snr_db-argument-int"),
     ],
 )
 def test_non_finite_values_are_rejected(cfg, snr_db):
@@ -298,11 +300,11 @@ def test_non_finite_values_are_rejected(cfg, snr_db):
 
 
 def test_invalid_config_raises_on_every_call():
-    bad = dataclasses.replace(FIG4A, noise_var=-1.0)
+    bad = dataclasses.replace(FIG4A, misalign_deg=-1.0)
     for _ in range(3):
-        with pytest.raises(ConfigError, match="noise variance"):
+        with pytest.raises(ConfigError, match="misalignment spread"):
             trial_metrics(bad, 1, 0)
-        with pytest.raises(ConfigError, match="noise variance"):
+        with pytest.raises(ConfigError, match="misalignment spread"):
             block_metrics(bad, 1, [0])
 
 

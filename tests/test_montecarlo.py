@@ -344,7 +344,7 @@ def test_spec_validation():
     # NaN or inf would run to empty rows, and no JSON manifest could hold it
     for bad in (
         small_spec(sweep_values=(10.0, math.nan)),
-        small_spec(scenario=dataclasses.replace(TWO_CLUSTERS, noise_var=math.inf)),
+        small_spec(scenario=dataclasses.replace(TWO_CLUSTERS, misalign_deg=math.inf)),
     ):
         with pytest.raises(ConfigError, match="finite"):
             validate_spec(bad)
@@ -450,7 +450,6 @@ def test_preset_fig5_serves_88_users():
     sizes = [len(c.gains_db) for c in spec.scenario.clusters]
     assert sizes == [4, 6, 8, 10, 12, 14, 16, 18]
     assert sum(sizes) == 88
-    assert spec.scenario.n_rf == 8
     assert spec.misalign_grid == (0.0, 2.0, 6.0)
     assert spec.baselines.fd and spec.baselines.oma
     for c in spec.scenario.clusters:
@@ -493,11 +492,11 @@ def test_accumulator_stderr_survives_nearly_constant_rates():
 @pytest.mark.parametrize(
     "field, value",
     [("trials", 8.0), ("trials", True), ("seed", np.int64(5)), ("observe_cluster", 1.0),
-     ("n_bs", 32.0), ("n_ue", False), ("n_rf", 2.0)],
+     ("n_bs", 32.0), ("n_ue", False)],
 )
 def test_int_fields_of_a_python_spec_take_only_ints(field, value):
     # 8.0 would end in a TypeError in the run, and True would run as 1
-    if field in ("n_bs", "n_ue", "n_rf"):
+    if field in ("n_bs", "n_ue"):
         spec = small_spec(scenario=dataclasses.replace(TWO_CLUSTERS, **{field: value}))
     elif field == "observe_cluster":
         spec = small_spec(sweep_name="cluster_size", sweep_values=(2.0,), observe_cluster=value)
