@@ -23,9 +23,7 @@ from .errors import (
     DegenerateSubspace,
     HbnomaError,
     NumericalError,
-    OutOfRange,
     SingularMatrix,
-    TrialError,
     UnknownPreset,
 )
 from .montecarlo import (
@@ -68,8 +66,6 @@ __all__ = [
     "UnknownPreset",
     "NumericalError",
     "SingularMatrix",
-    "OutOfRange",
     "DegenerateScenario",
     "DegenerateSubspace",
-    "TrialError",
 ]

@@ -1,12 +1,11 @@
 """Scenario configuration, the array-response kernel and the angle draw.
 
 The BS array is a uniform linear array whose steering vector a(phi) has
-entries exp(-j pi k phi) / sqrt(N_BS), k = 0..N_BS-1. Angle conventions:
-configurations use physical degrees; the normalized angle is
-2 * (D/lambda) * sin(physical), so with the default half-wavelength spacing
-it lives in [-1, 1]. Misalignment offsets are drawn in physical degrees and
-added before normalization. Channel gains are configured in dB with
-|beta|^2 = 10^(dB/10) and phase 0.
+entries exp(-j pi k phi) / sqrt(N_BS), k = 0..N_BS-1, at half-wavelength
+spacing. Angle conventions: configurations use physical degrees; the
+normalized angle is sin(physical), so it lives in [-1, 1]. Misalignment
+offsets are drawn in physical degrees and added before normalization.
+Channel gains are configured in dB with |beta|^2 = 10^(dB/10) and phase 0.
 
 Random draws come from a stateless counter hash (SplitMix64) of the key
 (seed, trial, cluster, user), so any block of trials is drawn at once and
@@ -25,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-ANGLE_SLACK = 1e-12
 CACHE_SIZE = 64  # configurations whose per-configuration arrays are kept
 _type_hints = lru_cache(maxsize=None)(get_type_hints)  # evaluating annotations takes 0.2 ms
 
@@ -49,7 +47,6 @@ class ScenarioConfig:
     clusters: tuple[ClusterSpec, ...]
     n_bs: int = 32
     n_ue: int = 8
-    spacing_over_wavelength: float = 0.5
     misalign_deg: float = 0.0
     snr_db: float = 10.0
 
@@ -93,8 +90,9 @@ def centred_kernel(delta, n_elements: int) -> np.ndarray:
     exp(-j pi (n-1) phi / 2); g = (-1)^((n-1) k) ratio with k, ratio of _reduced_ratio(delta).
     """
     k, _, ratio = _reduced_ratio(delta, n_elements)
-    if n_elements % 2 == 0:  # k % 2 on a float array costs about ten times np.fmod
-        np.negative(ratio, out=ratio, where=np.fmod(k, 2.0) != 0.0)
+    if n_elements % 2 == 0:  # k is odd where round(k / 2) != k / 2: a third of np.fmod's time
+        k *= 0.5
+        np.negative(ratio, out=ratio, where=np.round(k) != k)
     return ratio
 
 
@@ -156,8 +154,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("configuration has no clusters")
     if cfg.n_bs < 1 or cfg.n_ue < 1:
         raise ConfigError("antenna counts must be at least 1")
-    if not cfg.spacing_over_wavelength > 0:
-        raise ConfigError(f"element spacing must be positive, got {cfg.spacing_over_wavelength}")
     if cfg.misalign_deg < 0:
         raise ConfigError(f"misalignment spread must be >= 0, got {cfg.misalign_deg}")
     for idx, cluster in enumerate(cfg.clusters, start=1):
@@ -224,5 +220,4 @@ def user_angles(cfg: ScenarioConfig, seed: int, trials, spread=None) -> tuple[np
     else:
         u = counter_uniform(seed, trials, cluster, user)
         aod = np.where(anchor, base, base + (-b + 2.0 * b * u))
-    phi = 2.0 * cfg.spacing_over_wavelength * np.sin(np.radians(aod))
-    return aod, phi
+    return aod, np.sin(np.radians(aod))

@@ -15,8 +15,7 @@ stage gathers each sweep value's rows and computes everything that depends on
 the power split; an SNR sweep shares one view, as every per-user quantity is
 linear in the total power. Each b's rows feed its own cells, which merge the
 blocks of a run of that b alone in trial order: the output is bit-identical
-for any worker count. An angle outside [-1, 1] fails a run in the earliest
-block with one, naming the lowest such trial of the first b there to have one.
+for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
-    ANGLE_SLACK,
     CACHE_SIZE,
     ClusterSpec,
     ScenarioConfig,
@@ -47,9 +45,7 @@ from .errors import (
     ConfigError,
     DegenerateScenario,
     DegenerateSubspace,
-    OutOfRange,
     SingularMatrix,
-    TrialError,
     UnknownPreset,
 )
 
@@ -74,6 +70,13 @@ class Baselines:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A sweep of one scenario, run at each misalign_grid spread (scenario.misalign_deg if None).
+
+    A sweep axis replaces the scenario value it sweeps, and the replaced value is still validated:
+    snr_db on an snr_db sweep, n_bs on an n_bs sweep, the observed cluster's gains_db on a
+    cluster_size sweep, and misalign_deg beside a misalign_grid.
+    """
+
     scenario: ScenarioConfig
     sweep_name: str = "snr_db"
     sweep_values: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -261,8 +264,6 @@ def _bounds(geo: _Geometry) -> tuple[np.ndarray, ...]:
 class _Draw:
     """What a block of draws fixes before any power split, (T, ...) arrays."""
 
-    trials: np.ndarray  # (T,)
-    phi: np.ndarray  # (T, U) normalized angles
     k_user: np.ndarray  # (T, U) squared kernel row norms
     rho: np.ndarray  # (T, U) misalignment factor
     beam_gains: np.ndarray  # (T, U, N) |h^H F_BB|^2 of the kernel-row channels
@@ -295,7 +296,7 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> 
     gains = (g @ lay.f_c) ** 2
     np.copyto(gains, lay.unit_gains[lay.cluster_of], where=aligned[:, :, None])
     gains *= lay.c_beta_sq[:, None]
-    return _Draw(trials, phi, k_user, rho, gains)
+    return _Draw(k_user, rho, gains)
 
 
 def _view(
@@ -305,23 +306,16 @@ def _view(
 
     users indexes the configuration's users (laid out as lay) among the
     draw's, slice(None) when they are all of them. The view gathers their
-    rows of the draw and computes the angle range check, modeled channels,
-    shares, decode positions, the kappa_max(S) stack and the exclusions.
+    rows of the draw and computes the modeled channels, shares, decode
+    positions, the kappa_max(S) stack and the exclusions.
     """
     n = len(lay.anchors)
     if model_channels and n < 2:
         raise ConfigError(_ONE_CLUSTER)
-    phi = draw.phi[:, users]
-    bad = np.abs(phi) > 1.0 + ANGLE_SLACK
-    if bad.any():
-        t, u = np.argwhere(bad)[0]
-        cause = OutOfRange(f"normalized angle {phi[t, u]} outside [-1, 1]")
-        raise TrialError(int(draw.trials[t]), cause) from cause
-
     k_user, rho, beam_gains = draw.k_user[:, users], draw.rho[:, users], draw.beam_gains[:, users]
     norms = raw_norms = lay.c_beta_sq * k_user
     degenerate = ~np.all(raw_norms > 0.0, axis=1)
-    leak_collapsed = np.zeros(len(draw.trials), dtype=bool)
+    leak_collapsed = np.zeros(len(k_user), dtype=bool)
     if model_channels:
         raw_sums = np.add.reduceat(raw_norms, lay.starts, axis=1)
         raw_shares = raw_sums / raw_sums.sum(axis=1, keepdims=True)
@@ -476,9 +470,7 @@ def block_metrics(
 ) -> BlockMetrics:
     """The pipeline (synthesize, precode, allocate, rates, bounds) on a block of draws.
 
-    Draw t of the block is the draw trial_metrics(cfg, seed, trials[t], ...)
-    evaluates. A draw whose normalized angle leaves [-1, 1] fails the block
-    with TrialError naming the lowest such trial.
+    Draw t of the block is the draw trial_metrics(cfg, seed, trials[t], ...) evaluates.
     """
     lay = _Layout.of(cfg)
     p_total = _power(cfg, lay, snr_db)
@@ -511,10 +503,7 @@ def trial_metrics(
     """
     lay = _Layout.of(cfg)
     p_total = _power(cfg, lay, snr_db)
-    try:
-        geo = _view(_draw(cfg, lay, seed, [trial]), lay, slice(None), model_channels, leak_weighted)
-    except TrialError as exc:
-        raise exc.__cause__ from None
+    geo = _view(_draw(cfg, lay, seed, [trial]), lay, slice(None), model_channels, leak_weighted)
     code = int(geo.excluded[0])
     if code == _SINGULAR:
         raise _singular_gram_error(lay.gram)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from hbnoma.channel import (
     user_angles,
     validate_config,
 )
-from hbnoma.errors import ConfigError, OutOfRange
+from hbnoma.errors import ConfigError
 from scalar_oracle import (
     collinearity_sum,
     design_precoder,
@@ -37,10 +36,11 @@ def test_steering_known_values():
 
 
 def test_steering_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="outside"):
         steering_vector(1.5, 4)
-    # the engine's slack: rounding just past the endfire angle is still in range
-    steering_vector(-1.0 - 1e-13, 4)
+    with pytest.raises(ValueError, match="outside"):
+        steering_vector(-1.0 - 1e-13, 4)
+    steering_vector(-1.0, 4)  # endfire
 
 
 @given(angles, st.integers(min_value=1, max_value=64))
@@ -59,8 +59,24 @@ def test_normalized_angle_values():
     )
     _, phi = user_angles(cfg, 0, [0])
     np.testing.assert_allclose(phi[0], [0.0, 0.5, -math.sqrt(0.75)], rtol=0, atol=1e-15)
-    _, phi = user_angles(dataclasses.replace(cfg, spacing_over_wavelength=0.25), 0, [0])
-    np.testing.assert_allclose(phi[0], [0.0, 0.25, -math.sqrt(0.75) / 2], rtol=0, atol=1e-15)
+
+
+@given(
+    st.floats(-90.0, 90.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e4),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=200)
+def test_normalized_angles_stay_in_range(aod, spread, trials, seed):
+    # half-wavelength spacing: the normalized angle is sin(AoD), in [-1, 1] for any offset
+    cfg = ScenarioConfig(
+        clusters=(ClusterSpec(aod, (0.0, -1.0, -2.0)), ClusterSpec(-aod / 2, (0.0, -3.0))),
+        misalign_deg=spread,
+    )
+    _, phi = user_angles(cfg, seed, trials)
+    assert phi.shape == (len(trials), 5)
+    assert np.all(np.abs(phi) <= 1.0)
 
 
 def test_collinearity_known_values():

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,17 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def with_value(doc, path, value):
+    """A copy of the config doc with the entry at path (keys and indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 def test_round_trip_all_presets():
@@ -72,12 +85,7 @@ def test_validate_rejects_integral_float_for_an_int(tmp_path, capsys):
 @pytest.mark.parametrize("path", [("scenario", "snr_db"), ("scenario", "clusters", 0, "gains_db", 0)])
 def test_run_rejects_a_db_value_that_overflows(tmp_path, capsys, path):
     # 10^(1e300/10) is no float: the run would end in a raw OverflowError
-    doc = json.loads(json.dumps(VALID_CONFIG))
-    *parents, last = path
-    target = doc
-    for key in parents:
-        target = target[key]
-    target[last] = 1e300
+    doc = with_value(VALID_CONFIG, path, 1e300)
     out = tmp_path / "x.csv"
     assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
     assert "overflows" in capsys.readouterr().err
@@ -109,15 +117,15 @@ def test_usage_error_is_config_error():
 
 def test_run_writes_csv_and_manifest(tmp_path):
     cfg = write_config(tmp_path, VALID_CONFIG)
-    out = str(tmp_path / "res.csv")
-    assert main(["run", "--config", cfg, "--out", out]) == 0
-    body = open(out, "rb").read()
+    out = tmp_path / "res.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    body = out.read_bytes()
     assert body.startswith((",".join(CSV_COLUMNS) + "\n").encode())
     assert b"\r" not in body
     lines = body.decode().strip().split("\n")
     assert len(lines) == 1 + 2 * 4  # header + |sweep| * users
     assert lines[1].startswith("smoke,snr_db,10.0,1,1,")
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
     assert manifest["config"]["seed"] == 5
     assert manifest["cells"][0]["trials"] == 12
     assert manifest["command"] == "run"
@@ -127,9 +135,9 @@ def test_run_is_byte_identical_across_reruns_and_workers(tmp_path):
     cfg = write_config(tmp_path, VALID_CONFIG)
     outs = []
     for name, workers in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "8")):
-        out = str(tmp_path / name)
-        assert main(["run", "--config", cfg, "--out", out, "--workers", workers]) == 0
-        outs.append(open(out, "rb").read())
+        out = tmp_path / name
+        assert main(["run", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -137,20 +145,21 @@ def test_run_trials_and_seed_overrides(tmp_path):
     cfg = write_config(tmp_path, VALID_CONFIG)
     out = str(tmp_path / "o.csv")
     assert main(["run", "--config", cfg, "--out", out, "--trials", "3", "--seed", "99"]) == 0
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
     assert manifest["config"]["trials"] == 3
     assert manifest["config"]["seed"] == 99
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig4a", "fig4b", "fig4c", "fig4d"])
 def test_manifest_config_reproduces_the_table(tmp_path, name):
-    first = str(tmp_path / "first.csv")
-    assert main(["figure", name, "--out", first, "--trials", "3", "--seed", "7"]) == 0
-    manifest = json.loads(open(first + ".manifest.json").read())
+    first = tmp_path / "first.csv"
+    assert main(["figure", name, "--out", str(first), "--trials", "3", "--seed", "7"]) == 0
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
     assert config_to_spec(manifest["config"]) == dataclasses.replace(preset(name), trials=3, seed=7)
-    again = str(tmp_path / "again.csv")
-    assert main(["run", "--config", write_config(tmp_path, manifest["config"]), "--out", again]) == 0
-    assert open(again, "rb").read() == open(first, "rb").read()
+    again = tmp_path / "again.csv"
+    cfg = write_config(tmp_path, manifest["config"])
+    assert main(["run", "--config", cfg, "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -182,7 +191,6 @@ def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys,
     [
         ("scenario", "snr_db"),
         ("scenario", "misalign_deg"),
-        ("scenario", "spacing_over_wavelength"),
         ("scenario", "clusters", 0, "aod_deg"),
         ("scenario", "clusters", 1, "gains_db", 1),
         ("sweep", "values", 1),
@@ -193,12 +201,7 @@ def test_negative_seed_and_workers_below_one_are_config_errors(tmp_path, capsys,
 def test_run_rejects_non_finite_numbers(tmp_path, capsys, path, literal):
     # Python's json reads all four literals: 1e400 overflows to inf, and
     # 10**400 is an int that no float holds
-    doc = json.loads(json.dumps(dict(VALID_CONFIG, misalign_grid=[0.0, 3.0])))
-    *parents, last = path
-    target = doc
-    for key in parents:
-        target = target[key]
-    target[last] = 1234.5
+    doc = with_value(dict(VALID_CONFIG, misalign_grid=[0.0, 3.0]), path, 1234.5)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc).replace("1234.5", literal))
     out = tmp_path / "x.csv"
@@ -206,6 +209,61 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, path, literal):
         assert main([*argv, "--config", str(cfg)]) == 1
         assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a sweep axis replaces the scenario value it sweeps, and the replaced value is still validated
+@pytest.mark.parametrize(
+    "axis, path, values, invalid",
+    [
+        pytest.param({}, ("scenario", "snr_db"), (10.0, 25.0), (1e300, "snr_db"), id="snr_db"),
+        pytest.param(
+            {"sweep": {"name": "n_bs", "values": [16, 24]}},
+            ("scenario", "n_bs"),
+            (32, 8),
+            (0, "antenna counts"),
+            id="n_bs",
+        ),
+        pytest.param(
+            {"sweep": {"name": "cluster_size", "values": [1, 3]}, "observe_cluster": 1},
+            ("scenario", "clusters", 0, "gains_db"),
+            ([0.0, -2.0], [-4.0, 0.0, -9.0]),
+            ([], "gains_db"),
+            id="cluster_size",
+        ),
+        pytest.param(
+            {"misalign_grid": [0.0, 3.0]},
+            ("scenario", "misalign_deg"),
+            (3.0, 7.5),
+            (-1.0, "misalignment spread"),
+            id="grid",
+        ),
+    ],
+)
+def test_a_sweep_axis_replaces_the_scenario_value_it_sweeps(
+    tmp_path, capsys, axis, path, values, invalid
+):
+    doc = dict(VALID_CONFIG, **axis)
+    bodies = []
+    for i, value in enumerate(values):
+        cfg = write_config(tmp_path, with_value(doc, path, value), f"{i}.json")
+        out = tmp_path / f"{i}.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
+    value, message = invalid
+    cfg = write_config(tmp_path, with_value(doc, path, value))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x.csv")]):
+        assert main([*argv, "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_readme_config_example_loads():
+    # the README's JSON config must stay a valid config: a deleted key cannot linger there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```json\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    spec = config_to_spec(json.loads(example))
+    assert spec.scenario_id == "demo" and len(spec.scenario.clusters) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -224,9 +282,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_figure_fig5_special_schema(tmp_path):
-    out = str(tmp_path / "fig5.csv")
-    assert main(["figure", "fig5", "--out", out, "--trials", "2"]) == 0
-    lines = open(out).read().strip().split("\n")
+    out = tmp_path / "fig5.csv"
+    assert main(["figure", "fig5", "--out", str(out), "--trials", "2"]) == 0
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(FIG5_COLUMNS)
     systems = {line.split(",")[1] for line in lines[1:]}
     assert systems == {"b0", "b2", "b6", "fd", "oma"}
@@ -234,9 +292,9 @@ def test_figure_fig5_special_schema(tmp_path):
 
 
 def test_figure_standard_schema(tmp_path):
-    out = str(tmp_path / "fig4d.csv")
-    assert main(["figure", "fig4d", "--out", out, "--trials", "2"]) == 0
-    lines = open(out).read().strip().split("\n")
+    out = tmp_path / "fig4d.csv"
+    assert main(["figure", "fig4d", "--out", str(out), "--trials", "2"]) == 0
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     ids = {line.split(",")[0] for line in lines[1:]}
     assert ids == {"fig4d:b3", "fig4d:b6"}
@@ -263,6 +321,9 @@ def test_config_rejects_misplaced_observe(tmp_path):
         pytest.param("baselines.hb_exact", False, id="baselines.hb_exact"),
         pytest.param("scenario.noise_var", 1.0, id="scenario.noise_var"),
         pytest.param("scenario.n_rf", 5, id="scenario.n_rf"),
+        pytest.param(
+            "scenario.spacing_over_wavelength", 0.5, id="scenario.spacing_over_wavelength"
+        ),
     ],
 )
 def test_run_rejects_deleted_fields(tmp_path, capsys, path, value):

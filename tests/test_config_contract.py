@@ -254,10 +254,9 @@ def test_scalar_fields_of_a_python_spec_take_their_annotated_type(flaw):
 
 def test_float_fields_of_a_python_spec_take_ints_and_numpy_floats():
     spec = config_to_spec(FLAWLESS)
-    scenario = replace(
-        spec.scenario, snr_db=np.int64(12), misalign_deg=3, spacing_over_wavelength=np.float32(0.5)
-    )
-    run_experiment(replace(spec, scenario=scenario))
+    for snr_db, misalign_deg in ((np.int64(12), 3), (np.float32(12.0), np.float32(3.0))):
+        scenario = replace(spec.scenario, snr_db=snr_db, misalign_deg=misalign_deg)
+        run_experiment(replace(spec, scenario=scenario))
 
 
 def test_tuple_entries_of_a_python_spec_take_real_numbers_only():

@@ -29,9 +29,7 @@ from hbnoma.errors import (
     ConfigError,
     DegenerateScenario,
     DegenerateSubspace,
-    OutOfRange,
     SingularMatrix,
-    TrialError,
 )
 from hbnoma.montecarlo import CHUNK, EXCLUSIONS, _draw, _draws, _Layout, _norm_sq, _view
 from scalar_oracle import (
@@ -191,25 +189,6 @@ def test_excluded_draws_raise_in_trial_metrics():
         trial_metrics(silent, 1, 0)
 
 
-def test_out_of_range_angle_names_lowest_trial():
-    # with one-wavelength spacing the normalized angle reaches 2 sin(aod)
-    # (20 deg + up to 15 deg), so only user 2's offset can leave [-1, 1]
-    cfg = ScenarioConfig(
-        clusters=(ClusterSpec(20.0, (0.0, -1.0)), ClusterSpec(-20.0, (0.0,))),
-        spacing_over_wavelength=1.0,
-        misalign_deg=15.0,
-    )
-    _, phi = user_angles(cfg, 3, range(40))
-    bad = np.flatnonzero((np.abs(phi) > 1.0).any(axis=1))
-    assert 0 < bad[0] < bad[-1]
-    with pytest.raises(TrialError) as info:
-        block_metrics(cfg, 3, range(40))
-    assert info.value.trial == bad[0]
-    block_metrics(cfg, 3, range(bad[0]))
-    with pytest.raises(OutOfRange):
-        trial_metrics(cfg, 3, int(bad[0]))
-
-
 def test_counter_uniform_is_keyed_and_uniform():
     u = counter_uniform(123, np.arange(20_000)[:, None], np.array([0, 1]), np.array([3, 3]))
     assert u.shape == (20_000, 2)
@@ -274,9 +253,6 @@ def _with_first_cluster(cfg, cluster):
         pytest.param(dataclasses.replace(FIG4A, misalign_deg=math.nan), 15.0, id="misalign_deg"),
         # an int that no float holds: float() and math.isfinite raise OverflowError on it
         pytest.param(dataclasses.replace(FIG4A, misalign_deg=10**400), 15.0, id="misalign_deg-int"),
-        pytest.param(
-            dataclasses.replace(FIG4A, spacing_over_wavelength=math.inf), 15.0, id="spacing"
-        ),
         pytest.param(dataclasses.replace(FIG4A, snr_db=math.nan), None, id="snr_db-field"),
         pytest.param(
             _with_first_cluster(FIG4A, ClusterSpec(math.nan, (0.0,))), 15.0, id="aod_deg"
@@ -372,10 +348,11 @@ def test_draw_rows_equal_each_size_computed_alone():
     spec = preset("fig4c")
     ((cfg, lay, views),) = _draws(spec)
     draw = _draw(cfg, lay, spec.seed, range(CHUNK, 2 * CHUNK))
-    g = centred_kernel(draw.phi[:, :, None] - draw.phi[:, None, lay.anchors], cfg.n_bs)
+    _, phi = user_angles(cfg, spec.seed, range(CHUNK, 2 * CHUNK))
+    g = centred_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
     for view in views:
         own = view.layout
-        rows = _real_draw_rows(g[:, view.users], draw.phi[:, view.users], own)
+        rows = _real_draw_rows(g[:, view.users], phi[:, view.users], own)
         k_user, rho, gains, own_gain = rows
         geo = _view(draw, own, view.users, model_channels=False, leak_weighted=True)
         np.testing.assert_array_equal(draw.k_user[:, view.users], k_user)
@@ -406,6 +383,17 @@ def test_centred_kernel_times_its_phases_is_the_complex_kernel(delta, n):
         assert abs(phases * g[0] - direct) <= 1e-14 * n
     if delta in (0.0, 2.0, -2.0):
         assert g[0] == (1.0 if delta == 0.0 or n % 2 else -1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 127, 128])
+def test_centred_kernel_sign_is_the_parity_of_the_period_count(n):
+    # delta = 2 k + r with r = 0 (a grating lobe, ratio 1) and r = 0.5 is exact
+    # for |k| up to 10^6: g(delta) = (-1)^((n-1) k) g(r), against Python ints
+    ks = sorted({*range(-1000, 1001), *range(-(10**6), 10**6 + 1, 125)})
+    sign = np.array([(-1) ** ((n - 1) * k) for k in ks], dtype=np.float64)
+    k = np.array(ks, dtype=np.float64)
+    np.testing.assert_array_equal(centred_kernel(2.0 * k, n), sign)
+    np.testing.assert_array_equal(centred_kernel(2.0 * k + 0.5, n), sign * centred_kernel(0.5, n))
 
 
 def test_decode_positions_equal_the_lexsort_order_on_tied_norms():
@@ -443,8 +431,8 @@ def test_precoder_of_the_layout_is_every_trials_precoder(name, b):
     # for bit, the per-trial formula on each trial's anchor kernel rows
     cfg = dataclasses.replace(preset(name).scenario, misalign_deg=b)
     lay = _Layout.of(cfg)
-    draw = _draw(cfg, lay, 1234, range(CHUNK, 2 * CHUNK))
-    kern = dirichlet_kernel(draw.phi[:, :, None] - draw.phi[:, None, lay.anchors], cfg.n_bs)
+    _, phi = user_angles(cfg, 1234, range(CHUNK, 2 * CHUNK))
+    kern = dirichlet_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
     gram = kern[:, lay.anchors].transpose(0, 2, 1)
     eigs = np.linalg.eigvalsh(gram)
     finv = np.linalg.inv(gram)
@@ -455,14 +443,14 @@ def test_precoder_of_the_layout_is_every_trials_precoder(name, b):
         np.testing.assert_array_equal(lay.gram, gram[t])
         np.testing.assert_array_equal(lay.finv_diag, finv_diag[t])
         np.testing.assert_array_equal(lay.f_bb, f_bb[t])
-    psi = np.exp(0.5j * np.pi * (cfg.n_bs - 1) * draw.phi[:, lay.anchors])
+    psi = np.exp(0.5j * np.pi * (cfg.n_bs - 1) * phi[:, lay.anchors])
     rotated = psi.conj()[:, :, None] * (f_bb.conj().transpose(0, 2, 1) @ f_bb) * psi[:, None, :]
     np.testing.assert_array_equal(np.broadcast_to(lay.r_gram, f_bb.shape), rotated.real)
     # F_BB^H F_BB = Psi R Psi^H with Psi = diag(exp(j pi (N_BS - 1) phi_n / 2)) is
     # real up to rounding, and R = C G_c^-2 C of the real centred Gram matrix G_c
     assert np.max(np.abs(rotated.imag)) <= 1e-14 * np.max(np.abs(lay.r_gram))
-    phi = draw.phi[0, lay.anchors]
-    delta = 0.5 * np.pi * (phi - phi[:, None])
+    anchor_phi = phi[0, lay.anchors]
+    delta = 0.5 * np.pi * (anchor_phi - anchor_phi[:, None])
     with np.errstate(invalid="ignore"):
         g_c = np.sin(cfg.n_bs * delta) / (cfg.n_bs * np.sin(delta))
     np.fill_diagonal(g_c, 1.0)
@@ -479,14 +467,13 @@ def _kappa_configs():
         clusters=(ClusterSpec(-20.0, (0.0, -1.0)), ClusterSpec(35.0, (0.0, -2.0, -4.0))),
         misalign_deg=3.0,
     )
-    # one-wavelength spacing: the anchors sit at 2 sin(AoD) = 1 and -0.85, so the
-    # kernel reduces their difference by a period, 2, where the sign of
+    # the anchors sit at sin(AoD) = 0.94 and -0.91, so the kernel reduces their
+    # difference, 1.85, by a period, 2 (k = +-1), where the sign of
     # exp(-j pi (N_BS - 1) r / 2) flips with the parity of N_BS
     lobes = [
         ScenarioConfig(
-            clusters=(ClusterSpec(30.0, (0.0, -1.0)), ClusterSpec(-25.0, (0.0, -3.0))),
+            clusters=(ClusterSpec(70.0, (0.0, -1.0)), ClusterSpec(-65.0, (0.0, -3.0))),
             n_bs=n_bs,
-            spacing_over_wavelength=1.0,
         )
         for n_bs in (31, 32)
     ]
@@ -535,7 +522,8 @@ def test_real_draw_equals_the_complex_kernel_formulas(cfg):
     # layouts, one and two clusters, grating-lobe pairs and a singular Gram
     lay = _Layout.of(cfg)
     draw = _draw(cfg, lay, 11, range(CHUNK))
-    k_user, rho, gains, own_gain = _complex_draw_rows(draw.phi, lay, cfg.n_bs)
+    _, phi = user_angles(cfg, 11, range(CHUNK))
+    k_user, rho, gains, own_gain = _complex_draw_rows(phi, lay, cfg.n_bs)
     geo = _view(draw, lay, slice(None), model_channels=False, leak_weighted=True)
     np.testing.assert_allclose(draw.k_user, k_user, rtol=1e-13, atol=0)
     np.testing.assert_allclose(draw.rho, rho, rtol=1e-13, atol=1e-13)
@@ -558,11 +546,13 @@ def test_aligned_rows_keep_the_complex_kernels_bits(cfg):
     # on the draw's own block, as the draw stage did
     lay = _Layout.of(cfg)
     trials = np.arange(CHUNK)
-    draw = _draw(cfg, lay, 3, trials, np.where(trials % 2 == 0, 0.0, cfg.misalign_deg + 2.0))
-    aligned = draw.phi == draw.phi[:, lay.own_anchor]
+    spread = np.where(trials % 2 == 0, 0.0, cfg.misalign_deg + 2.0)
+    draw = _draw(cfg, lay, 3, trials, spread)
+    _, phi = user_angles(cfg, 3, trials, spread)
+    aligned = phi == phi[:, lay.own_anchor]
     assert aligned[::2].all() and aligned[:, lay.anchors].all()
     assert not aligned[1::2].all() or len(lay.anchors) == len(lay.user)
-    k_user, rho, gains, _ = _complex_draw_rows(draw.phi, lay, cfg.n_bs)
+    k_user, rho, gains, _ = _complex_draw_rows(phi, lay, cfg.n_bs)
     np.testing.assert_array_equal(draw.k_user[aligned], k_user[aligned])
     np.testing.assert_array_equal(draw.rho[aligned], rho[aligned])
     np.testing.assert_array_equal(draw.beam_gains[aligned], gains[aligned])
@@ -590,15 +580,3 @@ def test_singular_configuration_excludes_every_trial():
         block = block_metrics(collide, 3, range(CHUNK), model_channels=model)
         assert np.all(block.excluded == 1)
         assert np.all(np.isnan(block.rate_exact)) and not block.gap_ub_applicable.any()
-
-
-def test_out_of_range_angle_is_raised_before_a_singular_gram():
-    # both beams at 2 sin(60 deg) = 1.73 with one-wavelength spacing: the
-    # anchors' angle leaves [-1, 1] and their Gram matrix is singular
-    cfg = ScenarioConfig(
-        clusters=(ClusterSpec(60.0, (0.0,)), ClusterSpec(60.0, (0.0,))),
-        spacing_over_wavelength=1.0,
-    )
-    assert _Layout.of(cfg).singular
-    with pytest.raises(OutOfRange):
-        trial_metrics(cfg, 1, 0)

@@ -1,14 +1,12 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from hbnoma import channel, montecarlo
-from hbnoma.channel import ClusterSpec, ScenarioConfig, user_angles
-from hbnoma.cli import main as cli_main, spec_to_config
-from hbnoma.errors import ConfigError, DegenerateScenario, OutOfRange, TrialError, UnknownPreset
+from hbnoma.channel import ClusterSpec, ScenarioConfig
+from hbnoma.errors import ConfigError, DegenerateScenario, UnknownPreset
 from hbnoma.montecarlo import (
     CHUNK,
     VALUE_COLUMNS,
@@ -237,60 +235,6 @@ def test_each_block_is_drawn_viewed_and_evaluated_once_for_the_whole_grid(
         assert calls.count("counter_uniform") == calls.count("_draw") == 3
         assert calls.count("_view") == 3 * views
         assert calls.count("_evaluate") == 3 * len(sweep_values)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("seed, named", [(1, 7), (5, 27)])
-def test_out_of_range_angle_in_a_grid_names_the_first_spread_of_the_earliest_block(
-    seed, named, workers
-):
-    # a block's rows go spread by spread in grid order, so the run fails on
-    # the earliest block with an angle outside [-1, 1] and names the lowest
-    # such trial of the first spread that has one there: with seed 1 b = 10.5
-    # has none before block 1 and b = 15 has trial 7 in block 0; with seed 5
-    # b = 10.5 has trial 27 and b = 15 trial 1, both in block 0
-    scenario = ScenarioConfig(
-        clusters=(ClusterSpec(20.0, (0.0, -1.0)), ClusterSpec(-20.0, (0.0,))),
-        spacing_over_wavelength=1.0,
-    )
-    spec = small_spec(
-        scenario=scenario, misalign_grid=(10.5, 15.0), trials=2 * CHUNK + 2, seed=seed
-    )
-    firsts = []
-    for b in spec.misalign_grid:
-        cfg = dataclasses.replace(scenario, misalign_deg=b)
-        _, phi = user_angles(cfg, seed, range(spec.trials))
-        firsts.append(int(np.flatnonzero((np.abs(phi) > 1.0).any(axis=1))[0]))
-    assert firsts == {1: [65, 7], 5: [27, 1]}[seed]
-    with pytest.raises(TrialError) as info:
-        run_experiment(spec, workers=workers)
-    assert info.value.trial == named
-    assert isinstance(info.value.__cause__, OutOfRange)
-
-
-def test_out_of_range_angle_in_a_size_sweep_fails_the_run(tmp_path):
-    # with one-wavelength spacing the normalized angle reaches 2 sin(aod)
-    # (20 deg + up to 15 deg); at size 1 cluster 1 is its anchor alone, so
-    # only the users that size 3 adds can leave [-1, 1]
-    scenario = ScenarioConfig(
-        clusters=(ClusterSpec(20.0, (0.0,)), ClusterSpec(-20.0, (0.0,))),
-        spacing_over_wavelength=1.0,
-        misalign_deg=15.0,
-    )
-    spec = small_spec(
-        scenario=scenario,
-        sweep_name="cluster_size",
-        sweep_values=(1.0, 3.0),
-        observe_cluster=1,
-        trials=40,
-    )
-    run_experiment(dataclasses.replace(spec, sweep_values=(1.0,)))
-    with pytest.raises(TrialError) as info:
-        run_experiment(spec)
-    assert isinstance(info.value.__cause__, OutOfRange)
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(spec_to_config(spec)))
-    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_n_bs_sweep_changes_array():
