@@ -171,9 +171,21 @@ class _Layout:
     # |K_u F_BB^*|^2 <= N F and kappa_max(S) <= F for F = max_n ||F_BB[:, n]||^2 >= 1 (see _power)
 
     @staticmethod
-    @lru_cache(maxsize=CACHE_SIZE)
     def of(cfg: ScenarioConfig) -> "_Layout":
         """The layout and precoder of cfg, validated and built once per configuration."""
+        # n_bs 32.0 and misalign_deg True key the cache like 32 and 1.0, and a cache hit skips
+        # validate_config: a config with a field of another type is checked first
+        if not (
+            type(cfg.n_bs) is type(cfg.n_ue) is int
+            and {type(cfg.misalign_deg), type(cfg.snr_db)} <= {float, int}
+        ):
+            validate_config(cfg)
+        return _Layout._build(cfg)
+
+    @staticmethod
+    @lru_cache(maxsize=CACHE_SIZE)
+    def _build(cfg: ScenarioConfig) -> "_Layout":
+        """of's cached builder: a config reaches the cache only once it is valid."""
         validate_config(cfg)
         cluster_of, user, _, is_anchor = _user_keys(cfg.clusters)
         n = len(cfg.clusters)
@@ -472,6 +484,7 @@ def block_metrics(
 
     Draw t of the block is the draw trial_metrics(cfg, seed, trials[t], ...) evaluates.
     """
+    _check_trials(trials)
     lay = _Layout.of(cfg)
     p_total = _power(cfg, lay, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels, leak_weighted)
@@ -501,6 +514,7 @@ def trial_metrics(
 
     The one-draw case of block_metrics; an excluded draw raises its exception.
     """
+    _check_trials((trial,))
     lay = _Layout.of(cfg)
     p_total = _power(cfg, lay, snr_db)
     geo = _view(_draw(cfg, lay, seed, [trial]), lay, slice(None), model_channels, leak_weighted)
@@ -516,6 +530,15 @@ def trial_metrics(
         position=geo.position[0],
         **{name: value[0] for name, value in fields.items()},
     )
+
+
+def _check_trials(trials) -> None:
+    """ConfigError naming the first trial index that is no integer in 0..2**63 - 1 (int64 keys)."""
+    for trial in trials:
+        # -1 would wrap to trial 2**64 - 1, 1.5 and True draw trial 1, 2**63 overflows
+        integer = isinstance(trial, (int, np.integer)) and type(trial) is not bool
+        if not (integer and 0 <= trial < 2**63):
+            raise ConfigError(f"trial {trial} is not an integer in 0..2**63-1")
 
 
 def _singular_gram_error(gram: np.ndarray) -> SingularMatrix:
@@ -626,7 +649,7 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
 
 
 def validate_spec(spec: ExperimentSpec) -> None:
-    validate_config(spec.scenario)  # not only _Layout.of's: its cache holds n_bs 32 and 32.0 as one
+    validate_config(spec.scenario)  # first: a scenario's error is named before the spec's
     _check_fields(spec)  # the scenario passed above
     _check_fields(spec.baselines)
     if not spec.scenario_id:
@@ -750,59 +773,62 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             )
         cells.append(acc.cell(label, value, view.layout, counts[i] - acc.n))
 
-    cells += [
-        _baseline_cell(system, cfg, view.layout, value, _power(cfg, lay, snr))
-        for system in ("fd", "oma")
-        if getattr(spec.baselines, system)
-        for cfg, lay, views in draws
-        for view in views
-        for value, snr in view.cells
-    ]
+    for system in ("fd", "oma"):
+        if getattr(spec.baselines, system):
+            for cfg, lay, views in draws:
+                for view in views:
+                    powers = [_power(cfg, lay, snr) for _, snr in view.cells]
+                    cells += _baseline_cells(system, cfg, view.layout, view.cells, powers)
     return ResultTable(spec=spec, cells=cells)
 
 
-def _baseline_cell(
-    system: str, cfg: ScenarioConfig, lay: _Layout, sweep_value: float, p_total: float
-) -> ResultCell:
-    """A deterministic cell of the fully-digital or frame-averaged OMA reference.
+def _baseline_cells(
+    system: str, cfg: ScenarioConfig, lay: _Layout, view_cells: list, powers: list[float]
+) -> list[ResultCell]:
+    """The deterministic fully-digital or frame-averaged OMA cells of one layout.
 
-    Neither depends on the angles. Fully digital: exact zero-forcing with
-    unit-power columns leaves each user the SINR
+    One cell per (sweep value, snr) pair of view_cells, at the total power of the
+    same index in powers; the cluster sums and the decode order are built once
+    for all of them. Neither reference depends on the angles. Fully digital:
+    exact zero-forcing with unit-power columns leaves each user the SINR
     P_m c|beta|^2 / (sum over users decoded before it of P_k c|beta|^2 + sigma^2),
     decoding strongest c|beta|^2 first, with the cluster powers split in
     proportion to the summed c|beta|^2 and equally inside each cluster. OMA:
     each user alone at full power on its own beam, SINR P c |beta|^2 / sigma^2;
     the frame average divides the rates by the user count later. sigma^2 = 1 (see _power).
     """
+    p_total = np.array(powers)[:, None]
     if system == "fd":
-        norms = [lay.c_beta_sq[s : s + m] for s, m in zip(lay.starts, lay.sizes)]
-        sums = np.array([float(np.sum(cluster)) for cluster in norms])
-        sinr = [0.0] * len(lay.user)
-        cluster_power = p_total * sums / float(np.sum(sums))
-        for start, cluster, p_n in zip(lay.starts, norms, cluster_power):
-            p = p_n / len(cluster)
-            earlier = 0.0  # power of the users decoded so far, summed in order
-            for idx in np.argsort(-cluster, kind="stable"):
-                gain = cluster[idx]
-                sinr[start + idx] = p * gain / (earlier * gain + 1.0)
-                earlier += p
+        gains = lay.c_beta_sq
+        sums = np.array([float(np.sum(gains[s : s + m])) for s, m in zip(lay.starts, lay.sizes)])
+        p = p_total * sums / float(np.sum(sums)) / lay.sizes  # (powers, N) per-user power
+        # earlier[:, n, k]: power of cluster n's first k decoded users, summed in order
+        earlier = np.zeros(p.shape + (int(lay.sizes.max()),))
+        later = earlier[:, :, 1:]
+        np.cumsum(np.broadcast_to(p[:, :, None], later.shape), axis=2, out=later)
+        order = np.lexsort((-gains, lay.cluster_of))  # by cluster, strongest first, ties by index
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order)) - lay.starts[lay.cluster_of[order]]
+        sinr = p[:, lay.cluster_of] * gains / (earlier[:, lay.cluster_of, slot] * gains + 1.0)
     else:
         # (P c) |beta|^2, not P (c |beta|^2): the two differ in the
         # last bit unless c is a power of two
         sinr = (p_total * float(cfg.n_bs * cfg.n_ue)) * lay.beta_sq
-    # scalar log1p: numpy's differs in the last bit for some values
-    rate = np.array([math.log1p(x) / LOG2 for x in sinr])
-    return ResultCell(
-        system,
-        sweep_value,
-        lay.cluster_of + 1,
-        lay.user,
-        rate_exact=rate,
-        stderr=np.zeros(len(rate)),
-        trials=1,
-        excluded=0,
-        **dict.fromkeys(_BOUND_COLUMNS, np.full(len(rate), np.nan)),
-    )
+    return [
+        ResultCell(
+            system,
+            sweep_value,
+            lay.cluster_of + 1,
+            lay.user,
+            # scalar log1p: numpy's differs in the last bit for some values
+            rate_exact=np.array([math.log1p(x) / LOG2 for x in row]),
+            stderr=np.zeros(len(row)),
+            trials=1,
+            excluded=0,
+            **dict.fromkeys(_BOUND_COLUMNS, np.full(len(row), np.nan)),
+        )
+        for (sweep_value, _), row in zip(view_cells, sinr.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hbnoma import montecarlo
 from hbnoma.cli import (
     CSV_COLUMNS,
     FIG5_COLUMNS,
@@ -13,9 +14,10 @@ from hbnoma.cli import (
     load_config,
     main,
     spec_to_config,
+    write_sum_rate_csv,
 )
 from hbnoma.errors import ConfigError
-from hbnoma.montecarlo import PRESETS, preset
+from hbnoma.montecarlo import PRESETS, preset, run_experiment
 
 VALID_CONFIG = {
     "scenario_id": "smoke",
@@ -289,6 +291,24 @@ def test_figure_fig5_special_schema(tmp_path):
     systems = {line.split(",")[1] for line in lines[1:]}
     assert systems == {"b0", "b2", "b6", "fd", "oma"}
     assert len(lines) == 1 + 5 * 7
+
+
+def test_figure_fig5_runs_without_the_bounds_its_table_does_not_read(tmp_path, monkeypatch):
+    # the sum-rate table reads rate_exact alone; the dumped config keeps the preset's bounds
+    want = tmp_path / "want.csv"
+    write_sum_rate_csv(run_experiment(dataclasses.replace(preset("fig5"), trials=3)), str(want))
+
+    def no_bounds(geo):
+        raise AssertionError("figure fig5 computed the bounds")
+
+    monkeypatch.setattr(montecarlo, "_bounds", no_bounds)
+    out, dump = tmp_path / "fig5.csv", tmp_path / "fig5.json"
+    argv = ["figure", "fig5", "--trials", "3", "--out", str(out), "--dump-config", str(dump)]
+    assert main(argv) == 0
+    assert out.read_bytes() == want.read_bytes()
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["config"]["baselines"]["hb_lb"] is False
+    assert json.loads(dump.read_text())["baselines"]["hb_lb"] is True
 
 
 def test_figure_standard_schema(tmp_path):

@@ -7,6 +7,7 @@ field.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,39 @@ def test_invalid_config_raises_on_every_call():
             trial_metrics(bad, 1, 0)
         with pytest.raises(ConfigError, match="misalignment spread"):
             block_metrics(bad, 1, [0])
+
+
+def test_a_cached_layout_does_not_let_a_mistyped_twin_through():
+    # n_bs 32.0 equals and hashes like 32, and misalign_deg True like 1.0: both
+    # would hit the valid config's cache entry and skip the type check
+    _Layout._build.cache_clear()
+    for field, valid, twin, message in [
+        ("n_bs", 32, 32.0, "n_bs must be an int"),
+        ("misalign_deg", 1.0, True, "misalign_deg must be a float"),
+    ]:
+        trial_metrics(dataclasses.replace(FIG4A, **{field: valid}), 1, 0)
+        mistyped = dataclasses.replace(FIG4A, **{field: twin})
+        with pytest.raises(ConfigError, match=message):
+            trial_metrics(mistyped, 1, 0)
+        with pytest.raises(ConfigError, match=message):
+            block_metrics(mistyped, 1, [0])
+
+
+@pytest.mark.parametrize(
+    "trials",
+    [[-1], [2**63], [0, -1], [1.5], [True], np.array([0, 2**63], dtype=np.uint64)],
+    ids=["-1", "2**63", "block-0,-1", "1.5", "True", "uint64-2**63"],
+)
+def test_trial_indices_must_be_integers_in_the_int64_range(trials):
+    # -1 would wrap to trial 2**64 - 1, 1.5 and True draw trial 1, and 2**63 ends in a raw
+    # OverflowError (wraps to -2**63 as a uint64 array)
+    bad = re.escape(f"trial {trials[-1]} is not an integer in 0..2**63-1")
+    with pytest.raises(ConfigError, match=bad):
+        block_metrics(FIG4A, 1, trials)
+    if len(trials) == 1:
+        with pytest.raises(ConfigError, match=bad):
+            trial_metrics(FIG4A, 1, trials[0])
+    block_metrics(FIG4A, 1, np.array([0, 2**63 - 1]))  # the ends of the range draw
 
 
 def test_cluster_spec_normalises_to_floats():
