@@ -207,12 +207,18 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     return spec
 
 
-def _cmd_run(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+def _run_and_write(spec: ExperimentSpec, args, write, command: str) -> ResultTable:
+    """Run spec, write its table with write(table, args.out) and the manifest beside it."""
     t0 = time.perf_counter()
     table = run_experiment(spec, workers=args.workers)
-    write_table_csv(table, args.out)
-    write_manifest(table, args.out, "run", args.workers, time.perf_counter() - t0)
+    write(table, args.out)
+    write_manifest(table, args.out, command, args.workers, time.perf_counter() - t0)
+    return table
+
+
+def _cmd_run(args) -> int:
+    spec = _apply_overrides(load_config(args.config), args)
+    table = _run_and_write(spec, args, write_table_csv, "run")
     print(f"wrote {sum(len(cell.user) for cell in table.cells)} rows to {args.out}")
     return 0
 
@@ -232,10 +238,7 @@ def _cmd_figure(args) -> int:
     if args.name == "fig5":  # the sum-rate table reads rate_exact alone: run without the bounds
         spec = replace(spec, baselines=replace(spec.baselines, hb_lb=False))
         write = write_sum_rate_csv
-    t0 = time.perf_counter()
-    table = run_experiment(spec, workers=args.workers)
-    write(table, args.out)
-    write_manifest(table, args.out, f"figure {args.name}", args.workers, time.perf_counter() - t0)
+    _run_and_write(spec, args, write, f"figure {args.name}")
     print(f"wrote {args.out}")
     return 0
 

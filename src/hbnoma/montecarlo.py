@@ -86,7 +86,6 @@ class ExperimentSpec:
     misalign_grid: tuple[float, ...] | None = None
     baselines: Baselines = field(default_factory=Baselines)
     scenario_id: str = "custom"
-    leak_weighted: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "sweep_values", _floats(self.sweep_values))
@@ -173,11 +172,12 @@ class _Layout:
     @staticmethod
     def of(cfg: ScenarioConfig) -> "_Layout":
         """The layout and precoder of cfg, validated and built once per configuration."""
-        # n_bs 32.0 and misalign_deg True key the cache like 32 and 1.0, and a cache hit skips
-        # validate_config: a config with a field of another type is checked first
+        # n_bs 32.0 keys the cache like 32, misalign_deg or a gains_db entry True like 1.0, and a
+        # hit skips validate_config: such a config is checked first (valid clusters hold floats)
         if not (
             type(cfg.n_bs) is type(cfg.n_ue) is int
             and {type(cfg.misalign_deg), type(cfg.snr_db)} <= {float, int}
+            and {type(x) for c in cfg.clusters or () for x in (c.aod_deg, *c.gains_db)} == {float}
         ):
             validate_config(cfg)
         return _Layout._build(cfg)
@@ -311,9 +311,7 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> 
     return _Draw(k_user, rho, gains)
 
 
-def _view(
-    draw: _Draw, lay: _Layout, users, model_channels: bool, leak_weighted: bool, bounds: bool = True
-) -> _Geometry:
+def _view(draw: _Draw, lay: _Layout, users, model_channels: bool, bounds: bool = True) -> _Geometry:
     """View stage: allocate one configuration's users of a drawn block.
 
     users indexes the configuration's users (laid out as lay) among the
@@ -331,9 +329,7 @@ def _view(
     if model_channels:
         raw_sums = np.add.reduceat(raw_norms, lay.starts, axis=1)
         raw_shares = raw_sums / raw_sums.sum(axis=1, keepdims=True)
-        weights = np.sqrt(lay.c_beta_sq[lay.anchors]) * (
-            np.sqrt(raw_shares) if leak_weighted else np.ones_like(raw_shares)
-        )
+        weights = np.sqrt(lay.c_beta_sq[lay.anchors]) * np.sqrt(raw_shares)
         # leak[t, n] = sum over l != n of weight_l * (anchor l's effective channel)
         others = weights[:, None, :] * (1.0 - np.eye(n))
         leak = others @ lay.gram.T
@@ -472,23 +468,27 @@ class BlockMetrics(TrialMetrics):
     excluded: np.ndarray
 
 
+def _metrics(cfg: ScenarioConfig, seed: int, trials, snr_db, model_channels: bool) -> tuple:
+    """(layout, geometry, fields) of the pipeline on a block of draws, excluded rows unmasked."""
+    _check_trials(trials)
+    lay = _Layout.of(cfg)
+    p_total = _power(cfg, lay, snr_db)
+    geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels)
+    return lay, geo, _evaluate(geo, p_total, _bounds(geo))
+
+
 def block_metrics(
     cfg: ScenarioConfig,
     seed: int,
     trials,
     snr_db: float | None = None,
     model_channels: bool = False,
-    leak_weighted: bool = True,
 ) -> BlockMetrics:
     """The pipeline (synthesize, precode, allocate, rates, bounds) on a block of draws.
 
     Draw t of the block is the draw trial_metrics(cfg, seed, trials[t], ...) evaluates.
     """
-    _check_trials(trials)
-    lay = _Layout.of(cfg)
-    p_total = _power(cfg, lay, snr_db)
-    geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels, leak_weighted)
-    fields = _evaluate(geo, p_total, _bounds(geo))
+    lay, geo, fields = _metrics(cfg, seed, trials, snr_db, model_channels)
     kept = (geo.excluded == 0)[:, None]
     applicable = fields.pop("gap_ub_applicable") & kept
     fields = {name: np.where(kept, value, np.nan) for name, value in fields.items()}
@@ -508,22 +508,17 @@ def trial_metrics(
     trial: int = 0,
     snr_db: float | None = None,
     model_channels: bool = False,
-    leak_weighted: bool = True,
 ) -> TrialMetrics:
     """One pipeline pass (synthesize, precode, allocate, rates, bounds), unaveraged.
 
     The one-draw case of block_metrics; an excluded draw raises its exception.
     """
-    _check_trials((trial,))
-    lay = _Layout.of(cfg)
-    p_total = _power(cfg, lay, snr_db)
-    geo = _view(_draw(cfg, lay, seed, [trial]), lay, slice(None), model_channels, leak_weighted)
+    lay, geo, fields = _metrics(cfg, seed, (trial,), snr_db, model_channels)
     code = int(geo.excluded[0])
     if code == _SINGULAR:
         raise _singular_gram_error(lay.gram)
     if code:
         raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
-    fields = _evaluate(geo, p_total, _bounds(geo))
     return TrialMetrics(
         cluster=lay.cluster_of + 1,
         user=lay.user,
@@ -687,8 +682,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         if len(set(labels)) < len(labels):
             raise ConfigError(f"misalign_grid values share a system label: {labels}")
     _Layout.of(spec.scenario)  # its gains and own power against its precoder
-    for cfg, lay, views in _draws(spec):  # each configuration drawn, at its largest power
-        _power(cfg, lay, max(snr for view in views for _, snr in view.cells))
+    _draws(spec)  # each configuration drawn, at each cell's power
 
 
 class _View(NamedTuple):
@@ -696,16 +690,19 @@ class _View(NamedTuple):
 
     layout: _Layout
     users: np.ndarray | slice  # the configuration's users among the draw's
-    cells: list[tuple[float, float]]  # (sweep value, snr) of each cell
+    cells: list[tuple[float, float]]  # (sweep value, total power P) of each cell
 
 
 def _draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_View]]]:
-    """(config, layout, views) of each configuration the sweep draws; rows take grid spreads."""
+    """(config, layout, views) of each configuration the sweep draws, cells at their power P.
+
+    Rows take grid spreads; the first cell whose P overflows the drawn layout is named.
+    """
     base = spec.scenario
 
-    def whole(cfg, cells):
+    def whole(cfg, snrs):
         lay = _Layout.of(cfg)
-        return cfg, lay, [_View(lay, slice(None), cells)]
+        return cfg, lay, [_View(lay, slice(None), [(v, _power(cfg, lay, snr)) for v, snr in snrs])]
 
     if spec.sweep_name == "snr_db":
         # one view for every SNR: the per-user quantities are linear in the power
@@ -722,7 +719,7 @@ def _draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_Vi
         _View(
             _Layout.of(_with_cluster_size(base, observed, int(v))),
             np.flatnonzero(others | (lay.user <= v)),
-            [(v, base.snr_db)],
+            [(v, _power(cfg, lay))],
         )
         for v in spec.sweep_values
     ]
@@ -742,7 +739,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         for i in range(len(grid)) for d, (_, _, views) in enumerate(draws)
         for v, view in enumerate(views) for c in range(len(view.cells))
     }
-    view_args = (spec.baselines.model_channels, spec.leak_weighted, spec.baselines.hb_lb)
+    view_args = (spec.baselines.model_channels, spec.baselines.hb_lb)
     for d, (cfg, lay, views) in enumerate(draws):
 
         def one_block(block, cfg=cfg, lay=lay, views=views):
@@ -758,8 +755,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
                 kept = geo.excluded == 0
                 terms = _bounds(geo) if spec.baselines.hb_lb else None
                 # one SNR's fields at a time on the view's terms: memory stays that of one view
-                for c, (_, snr) in enumerate(view.cells):
-                    fields = _evaluate(geo, _power(cfg, lay, snr), terms)
+                for c, (_, p_total) in enumerate(view.cells):
+                    fields = _evaluate(geo, p_total, terms)
                     for i, rows in enumerate(map(slice, ends - lens, ends)):
                         accs[i, d, v, c].add({k: x[rows][kept[rows]] for k, x in fields.items()})
 
@@ -775,29 +772,28 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
 
     for system in ("fd", "oma"):
         if getattr(spec.baselines, system):
-            for cfg, lay, views in draws:
+            for cfg, _, views in draws:
                 for view in views:
-                    powers = [_power(cfg, lay, snr) for _, snr in view.cells]
-                    cells += _baseline_cells(system, cfg, view.layout, view.cells, powers)
+                    cells += _baseline_cells(system, cfg, view.layout, view.cells)
     return ResultTable(spec=spec, cells=cells)
 
 
 def _baseline_cells(
-    system: str, cfg: ScenarioConfig, lay: _Layout, view_cells: list, powers: list[float]
+    system: str, cfg: ScenarioConfig, lay: _Layout, view_cells: list
 ) -> list[ResultCell]:
     """The deterministic fully-digital or frame-averaged OMA cells of one layout.
 
-    One cell per (sweep value, snr) pair of view_cells, at the total power of the
-    same index in powers; the cluster sums and the decode order are built once
-    for all of them. Neither reference depends on the angles. Fully digital:
-    exact zero-forcing with unit-power columns leaves each user the SINR
+    One cell per (sweep value, total power) pair of view_cells; the cluster sums
+    and the decode order are built once for all of them. Neither reference
+    depends on the angles. Fully digital: exact zero-forcing with unit-power
+    columns leaves each user the SINR
     P_m c|beta|^2 / (sum over users decoded before it of P_k c|beta|^2 + sigma^2),
     decoding strongest c|beta|^2 first, with the cluster powers split in
     proportion to the summed c|beta|^2 and equally inside each cluster. OMA:
     each user alone at full power on its own beam, SINR P c |beta|^2 / sigma^2;
     the frame average divides the rates by the user count later. sigma^2 = 1 (see _power).
     """
-    p_total = np.array(powers)[:, None]
+    p_total = np.array([p for _, p in view_cells])[:, None]
     if system == "fd":
         gains = lay.c_beta_sq
         sums = np.array([float(np.sum(gains[s : s + m])) for s, m in zip(lay.starts, lay.sizes)])

@@ -156,13 +156,12 @@ def misalignment_factor(h_user: np.ndarray, h_first: np.ndarray) -> float:
     return min(float(rho), 1.0)
 
 
-def leakage_direction(f_rf, first_links, cluster_powers, exclude, array_gain, weighted=True):
-    """Unit combination of the other clusters' anchor channels, each by sqrt(P_l) if weighted."""
+def leakage_direction(f_rf, first_links, cluster_powers, exclude, array_gain):
+    """Unit combination of the other clusters' anchor channels, each by sqrt(P_l)."""
     acc = np.zeros(f_rf.shape[1], dtype=np.complex128)
     for ell, link in enumerate(first_links):
         if ell != exclude:
-            weight = math.sqrt(cluster_powers[ell]) if weighted else 1.0
-            acc += weight * effective_channel(link, f_rf, array_gain)
+            acc += math.sqrt(cluster_powers[ell]) * effective_channel(link, f_rf, array_gain)
     norm = float(np.linalg.norm(acc))
     if norm < LEAK_NORM_FLOOR:
         raise DegenerateSubspace("leakage combination has (near-)zero norm")
@@ -296,7 +295,7 @@ def theorem3_gap_bound(
 FIELDS = ("rho", "rate_exact", "rate_lb_thm1", "rate_lb_thm2", "rate_gap")
 
 
-def scalar_trial(cfg, seed, trial, snr_db, model_channels, leak_weighted):
+def scalar_trial(cfg, seed, trial, snr_db, model_channels):
     """One draw user by user: the fields of block_metrics' row for it, flat order.
 
     Raises the exception of an excluded draw (SingularMatrix,
@@ -329,7 +328,7 @@ def scalar_trial(cfg, seed, trial, snr_db, model_channels, leak_weighted):
         raw = [np.array([float(np.vdot(h, h).real) for h in cl]) for cl in eff]
         raw_shares = allocate_power(raw, 1.0).cluster_power
         for n, cl in enumerate(scen.clusters):
-            leak = leakage_direction(pre.f_rf, first_links, raw_shares, n, c, leak_weighted)
+            leak = leakage_direction(pre.f_rf, first_links, raw_shares, n, c)
             h1 = eff[n][firsts[n]]
             for m, link in enumerate(cl):
                 if m != firsts[n]:

@@ -96,7 +96,6 @@ def fig4a_weak_user():
                 trials,
                 snr_db=snr,
                 model_channels=spec.baselines.model_channels,
-                leak_weighted=spec.leak_weighted,
             )
             weak = (block.cluster == observed) & (block.position == last)
             sums[snr] += (block.rate_exact[weak].sum(), block.rate_lb_thm2[weak].sum())

@@ -119,21 +119,10 @@ def test_leakage_direction_unit_and_zero_forced():
     firsts = [scen.clusters[c][pre.first_users[c]] for c in range(5)]
     powers = np.ones(5)
     for n in range(5):
-        g = leakage_direction(
-            pre.f_rf, firsts, powers, n, scen.array_gain, weighted=True
-        )
+        g = leakage_direction(pre.f_rf, firsts, powers, n, scen.array_gain)
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
         # the leakage lives where ZF already nulls the own beam
         assert abs(np.vdot(g, pre.f_bb[:, n])) < 1e-9
-
-
-def test_leakage_direction_weighting_changes_direction():
-    scen, pre = _designed(n_clusters=4)
-    firsts = [scen.clusters[c][pre.first_users[c]] for c in range(4)]
-    powers = np.array([4.0, 0.1, 2.0, 1.0])
-    gw = leakage_direction(pre.f_rf, firsts, powers, 2, scen.array_gain, True)
-    gu = leakage_direction(pre.f_rf, firsts, powers, 2, scen.array_gain, False)
-    assert abs(np.vdot(gw, gu)) < 1.0 - 1e-6
 
 
 def test_model_effective_channel_composition():

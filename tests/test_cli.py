@@ -344,12 +344,14 @@ def test_config_rejects_misplaced_observe(tmp_path):
         pytest.param(
             "scenario.spacing_over_wavelength", 0.5, id="scenario.spacing_over_wavelength"
         ),
+        pytest.param("leak_weighted", True, id="leak_weighted-true"),
+        pytest.param("leak_weighted", False, id="leak_weighted-false"),
     ],
 )
 def test_run_rejects_deleted_fields(tmp_path, capsys, path, value):
-    section, key = path.split(".")
+    section, _, key = path.rpartition(".")  # section "" for a top-level field
     doc = json.loads(json.dumps(VALID_CONFIG))
-    doc.setdefault(section, {})[key] = value
+    (doc.setdefault(section, {}) if section else doc)[key] = value
     cfg = write_config(tmp_path, doc)
     for argv in (["validate"], ["run", "--out", str(tmp_path / "x.csv")]):
         assert main([*argv, "--config", cfg]) == 1

@@ -99,7 +99,6 @@ def configs(draw):
         "baselines": st.fixed_dictionaries(
             {}, optional={k: st.booleans() for k in ("hb_lb", "fd", "oma", "model_channels")}
         ),
-        "leak_weighted": st.booleans(),
     }
     for key, strategy in optional.items():
         if key not in doc and draw(st.booleans()):
@@ -201,9 +200,6 @@ def test_every_flaw_is_rejected(tmp_path, flaw):
 # failed with a raw TypeError, before the dataclass annotations were checked
 PYTHON_FLAWS = {
     "fd 'no'": (lambda spec: replace(spec, baselines=Baselines(fd="no")), "fd must be a bool"),
-    "leak_weighted 0": (
-        lambda spec: replace(spec, leak_weighted=0), "leak_weighted must be a bool"
-    ),
     "scenario_id 5": (lambda spec: replace(spec, scenario_id=5), "scenario_id must be a str"),
     "snr_db '10'": (
         lambda spec: replace(spec, scenario=replace(spec.scenario, snr_db="10")),
@@ -291,6 +287,13 @@ def test_tuple_entries_of_a_python_spec_take_real_numbers_only():
             lambda spec: replace(spec, sweep_name="snr_db", sweep_values=(10.0, 3080.0), observe_cluster=None),
             "snr_db 3080.0",
             id="snr sweep value",
+        ),
+        pytest.param(  # each cell's power is planned in sweep order: the first overflow is named
+            lambda spec: replace(
+                spec, sweep_name="snr_db", sweep_values=(10.0, 3080.0, 3081.0), observe_cluster=None
+            ),
+            "snr_db 3080.0",
+            id="first overflowing snr sweep value",
         ),
         pytest.param(
             lambda spec: replace(spec, scenario=replace(spec.scenario, snr_db=3080.0)),

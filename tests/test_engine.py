@@ -8,6 +8,7 @@ field.
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,7 +108,6 @@ def _config(rng, n_clusters, n_bs, b, seam=False, collide=False):
     n_bs=st.sampled_from([16, 32, 64]),
     b=st.one_of(st.just(0.0), st.floats(1e-9, 1e-6), st.floats(0.0, 8.0)),
     model=st.booleans(),
-    weighted=st.booleans(),
     seam=st.booleans(),
     collide=st.sampled_from([False] * 7 + [True]),
     layout_seed=st.integers(0, 2**32 - 1),
@@ -115,7 +115,7 @@ def _config(rng, n_clusters, n_bs, b, seam=False, collide=False):
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_block_metrics_matches_scalar_oracle(
-    n_clusters, n_bs, b, model, weighted, seam, collide, layout_seed, first_trial
+    n_clusters, n_bs, b, model, seam, collide, layout_seed, first_trial
 ):
     # derandomize: the same examples on every run, as the acceptance tests fix
     # their seeds. The rho -> 1 kernel points (tiny offsets) are compared on
@@ -128,10 +128,10 @@ def test_block_metrics_matches_scalar_oracle(
         with pytest.raises(ConfigError):
             block_metrics(cfg, 5, trials, model_channels=True)
         return
-    block = block_metrics(cfg, 5, trials, model_channels=model, leak_weighted=weighted)
+    block = block_metrics(cfg, 5, trials, model_channels=model)
     for row, t in enumerate(trials):
         try:
-            want = scalar_trial(cfg, 5, t, cfg.snr_db, model, weighted)
+            want = scalar_trial(cfg, 5, t, cfg.snr_db, model)
         except EXCLUDABLE as exc:
             assert EXCLUSIONS[int(block.excluded[row])] is type(exc)
             continue
@@ -286,19 +286,35 @@ def test_invalid_config_raises_on_every_call():
 
 
 def test_a_cached_layout_does_not_let_a_mistyped_twin_through():
-    # n_bs 32.0 equals and hashes like 32, and misalign_deg True like 1.0: both
-    # would hit the valid config's cache entry and skip the type check
+    # n_bs 32.0 equals and hashes like 32, and misalign_deg True, aod_deg True and a
+    # gains_db entry True or Fraction(1) like 1.0: each would hit the valid config's
+    # cache entry and skip the type check
+    first, rest = FIG4A.clusters[0], FIG4A.clusters[1:]
+
+    def with_first(**changes):
+        return dataclasses.replace(FIG4A, clusters=(dataclasses.replace(first, **changes), *rest))
+
+    def with_gain(gain):
+        return with_first(gains_db=(gain, *first.gains_db[1:]))
+
     _Layout._build.cache_clear()
-    for field, valid, twin, message in [
-        ("n_bs", 32, 32.0, "n_bs must be an int"),
-        ("misalign_deg", 1.0, True, "misalign_deg must be a float"),
+    for valid, twin, message in [
+        (FIG4A, dataclasses.replace(FIG4A, n_bs=32.0), "n_bs must be an int"),
+        (
+            dataclasses.replace(FIG4A, misalign_deg=1.0),
+            dataclasses.replace(FIG4A, misalign_deg=True),
+            "misalign_deg must be a float",
+        ),
+        (with_first(aod_deg=1.0), with_first(aod_deg=True), "aod_deg must be a float"),
+        (with_gain(1.0), with_gain(True), "gains_db entries must be real numbers"),
+        (with_gain(1.0), with_gain(Fraction(1)), "gains_db entries must be real numbers"),
     ]:
-        trial_metrics(dataclasses.replace(FIG4A, **{field: valid}), 1, 0)
-        mistyped = dataclasses.replace(FIG4A, **{field: twin})
+        assert twin == valid and hash(twin) == hash(valid)
+        trial_metrics(valid, 1, 0)
         with pytest.raises(ConfigError, match=message):
-            trial_metrics(mistyped, 1, 0)
+            trial_metrics(twin, 1, 0)
         with pytest.raises(ConfigError, match=message):
-            block_metrics(mistyped, 1, [0])
+            block_metrics(twin, 1, [0])
 
 
 @pytest.mark.parametrize(
@@ -388,7 +404,7 @@ def test_draw_rows_equal_each_size_computed_alone():
         own = view.layout
         rows = _real_draw_rows(g[:, view.users], phi[:, view.users], own)
         k_user, rho, gains, own_gain = rows
-        geo = _view(draw, own, view.users, model_channels=False, leak_weighted=True)
+        geo = _view(draw, own, view.users, model_channels=False)
         np.testing.assert_array_equal(draw.k_user[:, view.users], k_user)
         np.testing.assert_array_equal(draw.rho[:, view.users], rho)
         np.testing.assert_array_equal(draw.beam_gains[:, view.users], gains)
@@ -447,7 +463,7 @@ def test_decode_positions_equal_the_lexsort_order_on_tied_norms():
     trials = np.arange(CHUNK)
     aligned = trials % 2 == 0
     draw = _draw(cfg, lay, 9, trials, np.where(aligned, 0.0, 3.0))
-    geo = _view(draw, lay, slice(None), model_channels=False, leak_weighted=True)
+    geo = _view(draw, lay, slice(None), model_channels=False)
     norms = lay.c_beta_sq * draw.k_user
     distinct = [len(np.unique(row)) for row in norms]
     assert set(np.compress(aligned, distinct)) == {5}
@@ -528,7 +544,7 @@ def test_kappa_stack_equals_the_complex_zeroed_route(cfg):
     lay = _Layout.of(cfg)
     n = len(lay.anchors)
     draw = _draw(cfg, lay, 5, range(CHUNK))
-    geo = _view(draw, lay, slice(None), model_channels=False, leak_weighted=True)
+    geo = _view(draw, lay, slice(None), model_channels=False)
     got = geo.kappa_s_unit
     sums = np.add.reduceat(lay.c_beta_sq * draw.k_user, lay.starts, axis=1)
     root_p = np.sqrt(sums / sums.sum(axis=1, keepdims=True))
@@ -558,7 +574,7 @@ def test_real_draw_equals_the_complex_kernel_formulas(cfg):
     draw = _draw(cfg, lay, 11, range(CHUNK))
     _, phi = user_angles(cfg, 11, range(CHUNK))
     k_user, rho, gains, own_gain = _complex_draw_rows(phi, lay, cfg.n_bs)
-    geo = _view(draw, lay, slice(None), model_channels=False, leak_weighted=True)
+    geo = _view(draw, lay, slice(None), model_channels=False)
     np.testing.assert_allclose(draw.k_user, k_user, rtol=1e-13, atol=0)
     np.testing.assert_allclose(draw.rho, rho, rtol=1e-13, atol=1e-13)
     # the zero-forcing nulls are near 0 on both routes: a gain is compared on its user's scale

@@ -153,10 +153,9 @@ def test_cluster_size_sweep_resizes_observed_cluster():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("leak_weighted", [True, False])
 @pytest.mark.parametrize("model_channels", [False, True])
 @pytest.mark.parametrize("hb_lb", [True, False])
-def test_cluster_size_sweep_cells_equal_one_size_runs(hb_lb, model_channels, leak_weighted, workers):
+def test_cluster_size_sweep_cells_equal_one_size_runs(hb_lb, model_channels, workers):
     # the sweep draws each block once, at its largest size (given first here,
     # not last), and views each size's users of it; an SNR run of the resized
     # configuration draws and views all of its own users, so every cell must
@@ -167,7 +166,6 @@ def test_cluster_size_sweep_cells_equal_one_size_runs(hb_lb, model_channels, lea
         observe_cluster=1,  # cluster 2's users follow the resized cluster's
         misalign_grid=(0.0, 3.0),
         trials=CHUNK + 6,
-        leak_weighted=leak_weighted,
         baselines=Baselines(hb_lb=hb_lb, model_channels=model_channels),
     )
     table = run_experiment(spec, workers=workers)
