@@ -4,10 +4,14 @@
 Writes one CSV (plus its .manifest.json) per preset into the output
 directory. Default trial counts match the presets (10^4); pass --trials for
 a fast smoke run, e.g. `python3 scripts/make_figures.py --trials 500`.
+Each preset's line gives its seconds and the minor page faults of its run
+(the ru_minflt delta of this process: pages it touched for the first time,
+which also depends on the presets run before it).
 """
 
 import argparse
 import pathlib
+import resource
 import sys
 import time
 
@@ -33,12 +37,14 @@ def run(argv=None) -> int:
         if ns.seed is not None:
             args += ["--seed", str(ns.seed)]
         args += ["--workers", str(ns.workers)]
-        t0 = time.perf_counter()
+        t0, faults = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         code = cli_main(args)
         if code != 0:
             print(f"{name}: failed with exit code {code}", file=sys.stderr)
             return code
-        print(f"{name}: wrote {out_dir / (name + '.csv')} in {time.perf_counter() - t0:.1f}s")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        print(f"{name}: wrote {out_dir / (name + '.csv')} in {time.perf_counter() - t0:.1f}s, "
+              f"{faults} minor page faults")
     return 0
 
 

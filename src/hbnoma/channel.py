@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import UnionType
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -51,20 +51,29 @@ class ScenarioConfig:
     snr_db: float = 10.0
 
 
-def _reduced_ratio(delta, n_elements: int) -> tuple[np.ndarray, ...]:
-    """k, pi r / 2, sin(n pi r / 2) / (n sin(pi r / 2)) of the exact split delta = 2 k + r, |r| <= 1."""
-    k = np.round(0.5 * np.atleast_1d(delta))
-    half = delta - 2.0 * k  # r
-    half *= 0.5 * math.pi
-    denom = np.sin(half)
+def _reduced_ratio(delta: np.ndarray, n_elements: int, out: np.ndarray) -> tuple | None:
+    """Turn float64 delta, in place, into pi r / 2 of the exact split delta = 2 k + r, |r| <= 1.
+
+    Writes the ratio sin(n pi r / 2) / (n sin(pi r / 2)) into out, which may be delta itself,
+    and returns (wrapped, k): the mask of |delta| > 1 and k there, or None if no |delta| > 1.
+    Elsewhere k = round(delta / 2) is +-0, so r is delta (up to a zero's sign, which the
+    ratio's 1 at r = 0 hides).
+    """
+    split = None
+    if delta.max(initial=0.0) > 1.0 or delta.min(initial=0.0) < -1.0:
+        wrapped = (delta > 1.0) | (delta < -1.0)
+        split = wrapped, np.round(0.5 * delta[wrapped])
+        delta[wrapped] -= 2.0 * split[1]
+    delta *= 0.5 * math.pi
+    denom = np.sin(delta)  # the one block-sized temporary
     aligned = denom == 0.0
     denom[aligned] = 1.0
     denom *= n_elements
-    ratio = np.multiply(half, n_elements)
-    np.sin(ratio, out=ratio)
-    ratio /= denom
-    ratio[aligned] = 1.0
-    return k, half, ratio
+    np.multiply(delta, n_elements, out=out)
+    np.sin(out, out=out)
+    out /= denom
+    out[aligned] = 1.0
+    return split
 
 
 def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
@@ -73,7 +82,9 @@ def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
     Elementwise over delta (at least 1-D), of period 2 in delta: exp(-j pi (n-1) r / 2)
     times the ratio, with r and the ratio of _reduced_ratio(delta).
     """
-    _, half, ratio = _reduced_ratio(delta, n_elements)
+    half = np.array(delta, dtype=np.float64, ndmin=1)  # a copy: the reduction works in place
+    ratio = np.empty_like(half)
+    _reduced_ratio(half, n_elements, ratio)
     half *= n_elements - 1
     out = np.empty(half.shape, dtype=np.complex128)
     np.cos(half, out=out.real)
@@ -88,12 +99,15 @@ def centred_kernel(delta, n_elements: int) -> np.ndarray:
 
     a^H(phi) a(phi + delta) = psi(phi + delta) conj(psi(phi)) g(delta), psi(phi) =
     exp(-j pi (n-1) phi / 2); g = (-1)^((n-1) k) ratio with k, ratio of _reduced_ratio(delta).
+    Computed in delta's buffer: a float64 array delta is overwritten with g and returned.
     """
-    k, _, ratio = _reduced_ratio(delta, n_elements)
-    if n_elements % 2 == 0:  # k is odd where round(k / 2) != k / 2: a third of np.fmod's time
+    g = np.atleast_1d(np.asarray(delta, dtype=np.float64))
+    split = _reduced_ratio(g, n_elements, g)
+    if split is not None and n_elements % 2 == 0:  # k is odd where round(k / 2) != k / 2
+        wrapped, k = split
         k *= 0.5
-        np.negative(ratio, out=ratio, where=np.round(k) != k)
-    return ratio
+        g[wrapped] = np.where(np.round(k) != k, -g[wrapped], g[wrapped])
+    return g
 
 
 def gain_db_to_beta(gain_db: float) -> complex:
@@ -145,6 +159,9 @@ def _check_fields(obj) -> None:
             if type(value) not in kinds and not (kind is float and _real(value)):  # None if optional
                 article = "an" if kind is int else "a"
                 raise ConfigError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        # a list of clusters would fail in the layout cache's hash, gains None in len()
+        if type(value) is not tuple and type(value) not in kinds and tuple in map(get_origin, kinds):
+            raise ConfigError(f"{name} must be a tuple, got {value!r}")
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -157,6 +174,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.misalign_deg < 0:
         raise ConfigError(f"misalignment spread must be >= 0, got {cfg.misalign_deg}")
     for idx, cluster in enumerate(cfg.clusters, start=1):
+        if type(cluster) is not ClusterSpec:
+            raise ConfigError(f"cluster {idx} must be a ClusterSpec, got {cluster!r}")
         _check_fields(cluster)
         if len(cluster.gains_db) == 0:
             raise ConfigError(f"cluster {idx} has no users")

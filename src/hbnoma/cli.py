@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import lru_cache
 from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
@@ -199,11 +200,11 @@ def write_manifest(table: ResultTable, out_path: str, command: str, workers: int
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
+    """spec with --trials and --seed applied; run_experiment validates the result."""
     if args.trials is not None:
         spec = replace(spec, trials=args.trials)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    validate_spec(spec)  # a dumped config must load again
     return spec
 
 
@@ -225,6 +226,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_figure(args) -> int:
     spec = _apply_overrides(preset(args.name), args)
+    if args.dump_config is not None or args.out is None:
+        validate_spec(spec)  # a dumped config must load again; no run would check it
     if args.dump_config is not None:
         with open(args.dump_config, "w", encoding="utf-8") as fh:
             json.dump(spec_to_config(spec), fh, indent=2)
@@ -260,7 +263,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The hbnoma argument parser, built once per process."""
     parser = _Parser(prog="hbnoma", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

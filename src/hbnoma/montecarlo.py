@@ -173,11 +173,14 @@ class _Layout:
     def of(cfg: ScenarioConfig) -> "_Layout":
         """The layout and precoder of cfg, validated and built once per configuration."""
         # n_bs 32.0 keys the cache like 32, misalign_deg or a gains_db entry True like 1.0, and a
-        # hit skips validate_config: such a config is checked first (valid clusters hold floats)
+        # hit skips validate_config: such a config is checked first (valid clusters hold floats),
+        # as is one whose clusters are no tuple of ClusterSpec with a gains_db tuple
         if not (
             type(cfg.n_bs) is type(cfg.n_ue) is int
             and {type(cfg.misalign_deg), type(cfg.snr_db)} <= {float, int}
-            and {type(x) for c in cfg.clusters or () for x in (c.aod_deg, *c.gains_db)} == {float}
+            and type(cfg.clusters) is tuple
+            and all(type(c) is ClusterSpec and type(c.gains_db) is tuple for c in cfg.clusters)
+            and {type(x) for c in cfg.clusters for x in (c.aod_deg, *c.gains_db)} == {float}
         ):
             validate_config(cfg)
         return _Layout._build(cfg)
@@ -294,6 +297,9 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> 
     user's rows depend only on its angle, gain and anchor, so a configuration
     whose users are a subset of cfg's (same anchors and gains) shares the
     whole stage: its rows are rows of these.
+
+    Two (T, U, N) arrays live at once: g, computed in its angle differences'
+    buffer, and the products with G_c and then F_c, written one over the other.
     """
     trials = np.asarray(trials, dtype=np.int64)
     _, phi = user_angles(cfg, seed, trials, spread)
@@ -301,11 +307,13 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> 
     aligned = phi == phi[:, lay.own_anchor]
     k_user = np.where(aligned, lay.k_anchor[lay.cluster_of], np.einsum("tun,tun->tu", g, g))
     # rho: |<K_anchor, K_u>| over the norms; column n of G_c is anchor n's g row
-    cross = (g @ lay.gram_c).reshape(len(trials), -1)[:, lay.own_beam]
+    gains = g @ lay.gram_c
+    cross = gains.reshape(len(trials), -1)[:, lay.own_beam]  # a copy: gains is reused below
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_user[:, lay.own_anchor]), 1.0)
     rho[aligned] = 1.0
-    gains = (g @ lay.f_c) ** 2
+    np.matmul(g, lay.f_c, out=gains)
+    np.square(gains, out=gains)
     np.copyto(gains, lay.unit_gains[lay.cluster_of], where=aligned[:, :, None])
     gains *= lay.c_beta_sq[:, None]
     return _Draw(k_user, rho, gains)
@@ -644,6 +652,11 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
 
 
 def validate_spec(spec: ExperimentSpec) -> None:
+    _checked_draws(spec)
+
+
+def _checked_draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_View]]]:
+    """spec's _draws, once spec is validated (ConfigError naming the first rule it breaks)."""
     validate_config(spec.scenario)  # first: a scenario's error is named before the spec's
     _check_fields(spec)  # the scenario passed above
     _check_fields(spec.baselines)
@@ -682,7 +695,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         if len(set(labels)) < len(labels):
             raise ConfigError(f"misalign_grid values share a system label: {labels}")
     _Layout.of(spec.scenario)  # its gains and own power against its precoder
-    _draws(spec)  # each configuration drawn, at each cell's power
+    return _draws(spec)  # each configuration drawn, at each cell's power
 
 
 class _View(NamedTuple):
@@ -728,11 +741,10 @@ def _draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_Vi
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run the experiment; deterministic for fixed (spec, seed) at any worker count."""
-    validate_spec(spec)
+    draws = _checked_draws(spec)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = spec.misalign_grid if spec.misalign_grid is not None else (spec.scenario.misalign_deg,)
-    draws = _draws(spec)
     counts = [1 if b == 0.0 and not spec.baselines.model_channels else spec.trials for b in grid]
     accs = {  # by (spread, draw, view, cell), in output order
         (i, d, v, c): _Accumulator(len(view.layout.user))

@@ -10,6 +10,7 @@ from hbnoma import montecarlo
 from hbnoma.cli import (
     CSV_COLUMNS,
     FIG5_COLUMNS,
+    build_parser,
     config_to_spec,
     load_config,
     main,
@@ -281,6 +282,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_a_cli_run_sets_up_once(tmp_path, monkeypatch):
+    # figure validates in run_experiment alone; run also checks the config file as loaded.
+    # Each validation draws every configuration, which a run then keeps
+    calls = []
+    real = montecarlo._draws
+    monkeypatch.setattr(montecarlo, "_draws", lambda spec: calls.append(spec) or real(spec))
+    cfg = write_config(tmp_path, VALID_CONFIG)
+    out = str(tmp_path / "x.csv")
+    for argv, draws in ((["figure", "fig4a", "--trials", "2"], 1), (["run", "--config", cfg], 2)):
+        calls.clear()
+        assert main([*argv, "--out", out]) == 0
+        assert len(calls) == draws, argv
+    assert build_parser() is build_parser()
 
 
 def test_figure_fig5_special_schema(tmp_path):

@@ -231,6 +231,15 @@ PYTHON_FLAWS = {
         lambda spec: replace(spec, scenario=_with_first_cluster(spec, ClusterSpec(-30.0, ("0", "-1")))),
         "gains_db entries must be real numbers",
     ),
+    # len(None) raised a TypeError, and a list of clusters failed to hash in the layout cache
+    "gains_db None": (
+        lambda spec: replace(spec, scenario=_with_first_cluster(spec, ClusterSpec(-30.0, None))),
+        "gains_db must be a tuple",
+    ),
+    "clusters a list": (
+        lambda spec: replace(spec, scenario=replace(spec.scenario, clusters=list(spec.scenario.clusters))),
+        "clusters must be a tuple",
+    ),
 }
 
 
@@ -246,6 +255,16 @@ def test_scalar_fields_of_a_python_spec_take_their_annotated_type(flaw):
         validate_spec(spec)
     with pytest.raises(ConfigError, match=message):
         run_experiment(spec)
+
+
+@pytest.mark.parametrize("flaw", ["gains_db None", "clusters a list"])
+@pytest.mark.parametrize("call", [validate_config, trial_metrics, block_metrics])
+def test_mistyped_clusters_are_named_by_the_library_calls(call, flaw):
+    make, message = PYTHON_FLAWS[flaw]
+    scenario = make(config_to_spec(FLAWLESS)).scenario
+    args = {validate_config: (), trial_metrics: (1,), block_metrics: (1, [0])}[call]
+    with pytest.raises(ConfigError, match=message):
+        call(scenario, *args)
 
 
 def test_float_fields_of_a_python_spec_take_ints_and_numpy_floats():

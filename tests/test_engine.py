@@ -8,6 +8,7 @@ field.
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -444,6 +445,25 @@ def test_centred_kernel_sign_is_the_parity_of_the_period_count(n):
     k = np.array(ks, dtype=np.float64)
     np.testing.assert_array_equal(centred_kernel(2.0 * k, n), sign)
     np.testing.assert_array_equal(centred_kernel(2.0 * k + 0.5, n), sign * centred_kernel(0.5, n))
+
+
+@pytest.mark.parametrize("spread", preset("fig5").misalign_grid)
+def test_the_draw_stage_holds_two_blocks_and_a_denominator(spread):
+    # g is computed in its angle differences' buffer and the G_c and F_c products share one
+    # array, so the stage's peak is two (T, U, N) float64 blocks, the kernel's denominator and
+    # small arrays
+    spec = preset("fig5")
+    ((cfg, lay, _),) = _draws(spec)
+    trials, spreads = range(CHUNK), np.full(CHUNK, spread)
+    _draw(cfg, lay, spec.seed, trials, spreads)  # warm: the angle keys' cache
+    tracemalloc.start()
+    try:
+        _draw(cfg, lay, spec.seed, trials, spreads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = CHUNK * len(lay.cluster_of) * len(lay.anchors) * 8
+    assert peak <= 3.25 * block, f"peak {peak / block:.2f} blocks"
 
 
 def test_decode_positions_equal_the_lexsort_order_on_tied_norms():
