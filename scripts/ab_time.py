@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time two source trees of hbnoma against each other in one process.
 
-    python3 scripts/ab_time.py OLD_SRC NEW_SRC [REPS]
+    python3 scripts/ab_time.py OLD_SRC NEW_SRC [REPS [WORKLOAD ...]]
 
 OLD_SRC and NEW_SRC are directories holding an `hbnoma` package, such as
 the `src` of two checkouts (`git archive` one into a scratch directory).
@@ -15,11 +15,13 @@ benchmark workload and a batch of library calls:
 - `single_draw`: 100 `trial_metrics` calls on the fig4a layout at b = 3,
   15 dB.
 
+Workload names after REPS time those workloads alone (default: all three).
 The sides alternate which goes first from rep to rep, and both use the same
 seed in a rep, so a slow stretch of a noisy host falls on both. For each
-workload it prints each side's median milliseconds per rep and the median
-of the per-rep ratios old / new (above 1: the new tree is faster). REPS
-defaults to 20. Like the benchmark, it runs BLAS on one thread.
+workload it prints each side's median milliseconds per rep and the median,
+first and third quartile of the per-rep ratios old / new (above 1: the new
+tree is faster). REPS defaults to 20. Like the benchmark, it runs BLAS on
+one thread.
 """
 
 import os
@@ -68,12 +70,25 @@ def _workloads(pkg, cli, out: str):
     return {"size_sweep": figure("fig4c", 20), "snr_sweep": figure("fig5", 60), "single_draw": single}
 
 
+WORKLOADS = ("size_sweep", "snr_sweep", "single_draw")
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """q1, median and q3 of values (all three the value itself for one value)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) not in (2, 3):
+    names = argv[3:] or list(WORKLOADS)
+    if len(argv) < 2 or not set(names) <= set(WORKLOADS):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print(f"workloads: {' '.join(WORKLOADS)}", file=sys.stderr)
         return 2
-    reps = int(argv[2]) if len(argv) == 3 else 20
+    reps = int(argv[2]) if len(argv) > 2 else 20
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         sys.path.insert(0, tmp)
@@ -82,6 +97,7 @@ def main(argv=None) -> int:
                 _workloads(*_load(src, f"hbnoma_{tag}", root), str(root / f"{tag}.csv"))
                 for src, tag in zip(argv[:2], ("old", "new"))
             ]
+            sides = [{name: side[name] for name in names} for side in sides]
             for side in sides:  # warm both up: imports, layout caches
                 for rep in side.values():
                     rep(0)
@@ -94,11 +110,12 @@ def main(argv=None) -> int:
                         times[name][s].append(time.perf_counter() - start)
         finally:
             sys.path.remove(tmp)
-    print(f"{'workload':<12} {'old_ms':>9} {'new_ms':>9} {'old/new':>8}  ({reps} paired reps)")
+    print(f"{'workload':<12} {'old_ms':>9} {'new_ms':>9} {'old/new':>8} {'q1':>7} {'q3':>7}"
+          f"  ({reps} paired reps)")
     for name, (old, new) in times.items():
-        ratio = statistics.median(a / b for a, b in zip(old, new))
+        q1, ratio, q3 = _quartiles([a / b for a, b in zip(old, new)])
         print(f"{name:<12} {1e3 * statistics.median(old):9.2f} "
-              f"{1e3 * statistics.median(new):9.2f} {ratio:8.3f}")
+              f"{1e3 * statistics.median(new):9.2f} {ratio:8.3f} {q1:7.3f} {q3:7.3f}")
     return 0
 
 

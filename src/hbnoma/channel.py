@@ -189,6 +189,14 @@ def first_user_index(gains_db) -> int:
     return max(range(len(gains_db)), key=gains_db.__getitem__)  # max keeps the first of ties
 
 
+# SplitMix64's increment and multipliers, as Python integers and as uint64 scalars, and its shifts
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U_GOLDEN, _U_MIX1, _U_MIX2, _U11, _U27, _U30, _U31 = (
+    np.uint64(k) for k in (_GOLDEN, _MIX1, _MIX2, 11, 27, 30, 31)
+)
+
+
 def counter_uniform(seed: int, trial, cluster, user) -> np.ndarray:
     """Uniform [0, 1) numbers from a stateless hash of the key (seed, trial, cluster, user).
 
@@ -198,17 +206,27 @@ def counter_uniform(seed: int, trial, cluster, user) -> np.ndarray:
     non-negative integers or integer arrays that broadcast together; the
     result has their broadcast shape (at least one dimension).
     """
-    state = np.full(1, int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    s = (int(seed) + _GOLDEN) & _MASK64  # the seed's round, on Python integers
+    s = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+    s = ((s ^ (s >> 27)) * _MIX2) & _MASK64
+    state = np.uint64(s ^ (s >> 31))
     for part in (trial, cluster, user):
-        state = _splitmix64(state) ^ np.asarray(part, dtype=np.uint64)
-    return (_splitmix64(state) >> 11) * 2.0**-53
+        # a new array of the broadcast shape, then a round in place
+        state = _splitmix64(np.atleast_1d(state ^ np.asarray(part, dtype=np.uint64)))
+    state >>= _U11
+    return state * 2.0**-53
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = x + 0x9E3779B97F4A7C15  # uint64 arithmetic wraps modulo 2^64
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-    return x ^ (x >> 31)
+    """One SplitMix64 round of a uint64 array, in place (uint64 arithmetic wraps modulo 2^64)."""
+    tmp = np.empty_like(x)
+    x += _U_GOLDEN
+    x ^= np.right_shift(x, _U30, out=tmp)
+    x *= _U_MIX1
+    x ^= np.right_shift(x, _U27, out=tmp)
+    x *= _U_MIX2
+    x ^= np.right_shift(x, _U31, out=tmp)
+    return x
 
 
 @lru_cache(maxsize=CACHE_SIZE)

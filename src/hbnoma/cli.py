@@ -92,13 +92,18 @@ def _fields(cls, doc, path: str, hints=None) -> dict:
 
 def config_to_spec(doc: dict) -> ExperimentSpec:
     """Build a validated experiment spec from a parsed JSON config."""
+    spec = _spec_of(doc)
+    validate_spec(spec)
+    return spec
+
+
+def _spec_of(doc: dict) -> ExperimentSpec:
+    """The experiment spec of a parsed JSON config, its fields typed but its values unchecked."""
     kw = _fields(ExperimentSpec, doc, "", _CONFIG_HINTS)
     if "sweep" in kw:
         sweep = kw.pop("sweep")
         kw.update(sweep_name=sweep.name, sweep_values=sweep.values)
-    spec = ExperimentSpec(**kw)
-    validate_spec(spec)
-    return spec
+    return ExperimentSpec(**kw)
 
 
 def spec_to_config(spec: ExperimentSpec) -> dict:
@@ -108,7 +113,8 @@ def spec_to_config(spec: ExperimentSpec) -> dict:
     return doc
 
 
-def load_config(path: str) -> ExperimentSpec:
+def load_config(path: str, validate: bool = True) -> ExperimentSpec:
+    """The spec of a JSON config file; validated unless validate is false (a run validates)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -120,7 +126,7 @@ def load_config(path: str) -> ExperimentSpec:
         ) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
-    return config_to_spec(doc)
+    return config_to_spec(doc) if validate else _spec_of(doc)
 
 
 def _fmt(value) -> str:
@@ -194,9 +200,9 @@ def write_manifest(table: ResultTable, out_path: str, command: str, workers: int
         ],
         "config": spec_to_config(table.spec),
     }
+    # one line: without an indent json encodes in C
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(manifest) + "\n")
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
@@ -218,7 +224,10 @@ def _run_and_write(spec: ExperimentSpec, args, write, command: str) -> ResultTab
 
 
 def _cmd_run(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+    # the file is checked as loaded only when --trials or --seed may change it: run_experiment
+    # validates the spec it runs
+    overridden = args.trials is not None or args.seed is not None
+    spec = _apply_overrides(load_config(args.config, validate=overridden), args)
     table = _run_and_write(spec, args, write_table_csv, "run")
     print(f"wrote {sum(len(cell.user) for cell in table.cells)} rows to {args.out}")
     return 0

@@ -147,7 +147,9 @@ class _Layout:
     """Flat user indexing (cluster by cluster) and precoder of one configuration, read-only arrays."""
 
     cluster_of: np.ndarray  # (U,) 0-based cluster of each user
+    cluster: np.ndarray  # (U,) 1-based cluster of each user
     user: np.ndarray  # (U,) 1-based index inside its cluster
+    nan_column: np.ndarray  # (U,) NaN: a cell's column of a value it does not have
     anchors: np.ndarray  # (N,) flat index of each cluster's strongest user
     own_anchor: np.ndarray  # (U,) flat index of each user's anchor
     own_beam: np.ndarray  # (U,) flat index of each user's own beam in a (U, N) array
@@ -212,7 +214,9 @@ class _Layout:
             raise ConfigError(f"gains_db entry {peak} dB: {_OVERFLOW}")
         lay = _Layout(
             cluster_of=cluster_of,
+            cluster=cluster_of + 1,
             user=user + 1,
+            nan_column=np.full(len(cluster_of), np.nan),
             anchors=anchors,
             own_anchor=anchors[cluster_of],
             own_beam=np.arange(len(cluster_of)) * n + cluster_of,
@@ -330,7 +334,11 @@ def _view(draw: _Draw, lay: _Layout, users, model_channels: bool, bounds: bool =
     n = len(lay.anchors)
     if model_channels and n < 2:
         raise ConfigError(_ONE_CLUSTER)
-    k_user, rho, beam_gains = draw.k_user[:, users], draw.rho[:, users], draw.beam_gains[:, users]
+    arrays = draw.k_user, draw.rho, draw.beam_gains
+    if isinstance(users, slice):
+        k_user, rho, beam_gains = (a[:, users] for a in arrays)
+    else:  # np.take gathers in C order, so _reduce sums each field's rows one by one
+        k_user, rho, beam_gains = (np.take(a, users, axis=1) for a in arrays)
     norms = raw_norms = lay.c_beta_sq * k_user
     degenerate = ~np.all(raw_norms > 0.0, axis=1)
     leak_collapsed = np.zeros(len(k_user), dtype=bool)
@@ -502,7 +510,7 @@ def block_metrics(
     fields = {name: np.where(kept, value, np.nan) for name, value in fields.items()}
     return BlockMetrics(
         excluded=geo.excluded,
-        cluster=lay.cluster_of + 1,
+        cluster=lay.cluster,
         user=lay.user,
         position=np.where(kept, geo.position, 0),
         gap_ub_applicable=applicable,
@@ -528,7 +536,7 @@ def trial_metrics(
     if code:
         raise EXCLUSIONS[code](_EXCLUSION_MESSAGES[code])
     return TrialMetrics(
-        cluster=lay.cluster_of + 1,
+        cluster=lay.cluster,
         user=lay.user,
         position=geo.position[0],
         **{name: value[0] for name, value in fields.items()},
@@ -564,7 +572,7 @@ class _Accumulator:
     are summed.
     """
 
-    SUMMED = ("rate_lb_thm1", "rate_lb_thm2", "rate_gap", "rho")
+    SUMMED = ("rate_lb_thm1", "rate_lb_thm2", "rate_gap")
 
     def __init__(self, n_users: int):
         self.n = 0
@@ -574,30 +582,39 @@ class _Accumulator:
         self.sum_gap_ub = np.zeros(n_users)
         self.n_gap_ub = np.zeros(n_users, dtype=np.int64)
 
-    def add(self, fields: dict[str, np.ndarray]) -> None:
-        """Merge one block of kept draws: (T, U) arrays keyed like TrialMetrics."""
-        rate = fields["rate_exact"]
+    def add(self, fields: dict[str, np.ndarray], rows, rho_sum: np.ndarray) -> None:
+        """Merge one block's kept rows of (T, U) fields keyed like TrialMetrics.
+
+        rows is a slice or the row indices; rho_sum is those rows' rho summed over axis 0.
+        """
+        rate = _rows(fields["rate_exact"], rows)
         n_block = rate.shape[0]
         if n_block == 0:
             return
         mean_block = rate.mean(axis=0)
-        m2_block = np.sum((rate - mean_block) ** 2, axis=0)
-        n = self.n + n_block
-        delta = mean_block - self.mean
-        self.mean = self.mean + delta * (n_block / n)
-        self.m2 = self.m2 + m2_block + delta**2 * (self.n * n_block / n)
-        self.n = n
+        deviation = rate - mean_block
+        m2_block = np.square(deviation, out=deviation).sum(axis=0)
+        if self.n == 0:  # the bits of a merge into zeros
+            self.mean, self.m2 = 0.0 + mean_block, 0.0 + m2_block
+        else:
+            n = self.n + n_block
+            delta = mean_block - self.mean
+            self.mean = self.mean + delta * (n_block / n)
+            self.m2 = self.m2 + m2_block + delta**2 * (self.n * n_block / n)
+        self.n += n_block
         for name in self.SUMMED:
             if name in fields:
-                self.sums[name] = self.sums.get(name, 0.0) + fields[name].sum(axis=0)
+                self.sums[name] = self.sums.get(name, 0.0) + _rows(fields[name], rows).sum(axis=0)
+        self.sums["rho"] = self.sums.get("rho", 0.0) + rho_sum
         if "gap_ub_thm3" in fields:
-            applicable = fields["gap_ub_applicable"]
-            self.sum_gap_ub += np.where(applicable, fields["gap_ub_thm3"], 0.0).sum(axis=0)
+            applicable = _rows(fields["gap_ub_applicable"], rows)
+            gap_ub = np.where(applicable, _rows(fields["gap_ub_thm3"], rows), 0.0)
+            self.sum_gap_ub += gap_ub.sum(axis=0)
             self.n_gap_ub += applicable.sum(axis=0)
 
     def cell(self, system: str, sweep_value: float, lay: _Layout, excluded: int) -> ResultCell:
         """The cell's per-user means, NaN where a field is absent, and the rate's stderr."""
-        columns = dict.fromkeys(_BOUND_COLUMNS, np.full_like(self.mean, np.nan))
+        columns = dict.fromkeys(_BOUND_COLUMNS, lay.nan_column)
         for name, total in self.sums.items():
             columns["rho_mean" if name == "rho" else name] = total / self.n
         with np.errstate(invalid="ignore"):  # 0/0: the gap bound never applied
@@ -605,7 +622,7 @@ class _Accumulator:
         return ResultCell(
             system,
             sweep_value,
-            lay.cluster_of + 1,
+            lay.cluster,
             lay.user,
             rate_exact=self.mean,
             stderr=self.stderr(),
@@ -618,6 +635,36 @@ class _Accumulator:
         if self.n < 2:
             return np.zeros_like(self.mean)
         return np.sqrt(self.m2 / (self.n - 1) / self.n)
+
+
+def _rows(x: np.ndarray, rows) -> np.ndarray:
+    """x[rows] in C order, a view when it is already C-ordered.
+
+    The sums over axis 0 then add row by row, as over a gathered copy; over
+    an F-ordered array numpy would sum pairwise, in other bits.
+    """
+    return np.ascontiguousarray(x[rows])
+
+
+def _reduce(
+    accs: list[list[_Accumulator]], cell_fields, rho: np.ndarray, kept: np.ndarray, lens
+) -> None:
+    """Merge a block's kept rows into accs[i][c], the accumulator of spread i's cell c.
+
+    The block stacks each spread's lens[i] rows in grid order; cell_fields
+    yields each cell's (T, U) fields in turn. A spread whose rows are all
+    kept hands its accumulators a row slice, and only one with an excluded
+    row gathers. rho reads no power: it is summed once per spread.
+    """
+    ends = np.cumsum(lens)
+    spans = []
+    for start, stop in zip(ends - lens, ends):
+        keep = kept[start:stop]
+        spans.append(slice(start, stop) if keep.all() else start + np.flatnonzero(keep))
+    rho_sums = [_rows(rho, rows).sum(axis=0) for rows in spans]
+    for c, fields in enumerate(cell_fields):
+        for i, rows in enumerate(spans):
+            accs[i][c].add(fields, rows, rho_sums[i])
 
 
 def _map_blocks(fn, count: int, workers: int):
@@ -746,10 +793,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = spec.misalign_grid if spec.misalign_grid is not None else (spec.scenario.misalign_deg,)
     counts = [1 if b == 0.0 and not spec.baselines.model_channels else spec.trials for b in grid]
-    accs = {  # by (spread, draw, view, cell), in output order
-        (i, d, v, c): _Accumulator(len(view.layout.user))
-        for i in range(len(grid)) for d, (_, _, views) in enumerate(draws)
-        for v, view in enumerate(views) for c in range(len(view.cells))
+    # accs[d, v][i][c]: the accumulator of cell c of draw d's view v at spread i
+    accs = {
+        (d, v): [[_Accumulator(len(view.layout.user)) for _ in view.cells] for _ in grid]
+        for d, (_, _, views) in enumerate(draws) for v, view in enumerate(views)
     }
     view_args = (spec.baselines.model_channels, spec.baselines.hb_lb)
     for d, (cfg, lay, views) in enumerate(draws):
@@ -762,25 +809,23 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             return lens, [_view(draw, view.layout, view.users, *view_args) for view in views]
 
         for lens, geos in _map_blocks(one_block, max(counts), workers):
-            ends = np.cumsum(lens)
             for v, (view, geo) in enumerate(zip(views, geos)):
-                kept = geo.excluded == 0
                 terms = _bounds(geo) if spec.baselines.hb_lb else None
                 # one SNR's fields at a time on the view's terms: memory stays that of one view
-                for c, (_, p_total) in enumerate(view.cells):
-                    fields = _evaluate(geo, p_total, terms)
-                    for i, rows in enumerate(map(slice, ends - lens, ends)):
-                        accs[i, d, v, c].add({k: x[rows][kept[rows]] for k, x in fields.items()})
+                cell_fields = (_evaluate(geo, p_total, terms) for _, p_total in view.cells)
+                _reduce(accs[d, v], cell_fields, geo.rho, geo.excluded == 0, lens)
 
     cells: list[ResultCell] = []
-    for (i, d, v, c), acc in accs.items():
-        view, label = draws[d][2][v], _system_label(grid[i], len(grid) > 1)
-        value = view.cells[c][0]
-        if acc.n == 0:
-            raise DegenerateScenario(
-                f"all {counts[i]} trials excluded for system {label}, sweep value {value}"
-            )
-        cells.append(acc.cell(label, value, view.layout, counts[i] - acc.n))
+    for i, b in enumerate(grid):
+        label = _system_label(b, len(grid) > 1)
+        for (d, v), spread_accs in accs.items():
+            view = draws[d][2][v]
+            for (value, _), acc in zip(view.cells, spread_accs[i]):
+                if acc.n == 0:
+                    raise DegenerateScenario(
+                        f"all {counts[i]} trials excluded for system {label}, sweep value {value}"
+                    )
+                cells.append(acc.cell(label, value, view.layout, counts[i] - acc.n))
 
     for system in ("fd", "oma"):
         if getattr(spec.baselines, system):
@@ -826,14 +871,14 @@ def _baseline_cells(
         ResultCell(
             system,
             sweep_value,
-            lay.cluster_of + 1,
+            lay.cluster,
             lay.user,
             # scalar log1p: numpy's differs in the last bit for some values
             rate_exact=np.array([math.log1p(x) / LOG2 for x in row]),
             stderr=np.zeros(len(row)),
             trials=1,
             excluded=0,
-            **dict.fromkeys(_BOUND_COLUMNS, np.full(len(row), np.nan)),
+            **dict.fromkeys(_BOUND_COLUMNS, lay.nan_column),
         )
         for (sweep_value, _), row in zip(view_cells, sinr.tolist())
     ]

@@ -171,7 +171,9 @@ def test_user_bounds_wires_scalars_together():
     one = np.ones(1)
     lay = _Layout(
         cluster_of=np.zeros(1, dtype=np.int64),
+        cluster=one.astype(np.int64),
         user=one.astype(np.int64),
+        nan_column=np.full(1, np.nan),
         anchors=np.zeros(1, dtype=np.int64),
         own_anchor=np.zeros(1, dtype=np.int64),
         own_beam=np.zeros(1, dtype=np.int64),

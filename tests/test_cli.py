@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hbnoma import montecarlo
+from hbnoma import __version__, montecarlo
 from hbnoma.cli import (
     CSV_COLUMNS,
     FIG5_COLUMNS,
@@ -285,18 +285,55 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_a_cli_run_sets_up_once(tmp_path, monkeypatch):
-    # figure validates in run_experiment alone; run also checks the config file as loaded.
-    # Each validation draws every configuration, which a run then keeps
+    # figure validates in run_experiment alone, and so does run with no --trials or --seed; with
+    # one, run also checks the config file as loaded. Each validation draws every configuration,
+    # which a run then keeps
     calls = []
     real = montecarlo._draws
     monkeypatch.setattr(montecarlo, "_draws", lambda spec: calls.append(spec) or real(spec))
     cfg = write_config(tmp_path, VALID_CONFIG)
     out = str(tmp_path / "x.csv")
-    for argv, draws in ((["figure", "fig4a", "--trials", "2"], 1), (["run", "--config", cfg], 2)):
+    for argv, draws in (
+        (["figure", "fig4a", "--trials", "2"], 1),
+        (["run", "--config", cfg], 1),
+        (["run", "--config", cfg, "--trials", "2"], 2),
+        (["run", "--config", cfg, "--seed", "3"], 2),
+    ):
         calls.clear()
         assert main([*argv, "--out", out]) == 0
         assert len(calls) == draws, argv
     assert build_parser() is build_parser()
+
+
+def test_run_checks_the_file_as_loaded_only_under_an_override(tmp_path, capsys):
+    # the file's trials 0 is named under --trials 5 as without it
+    cfg = write_config(tmp_path, {**VALID_CONFIG, "trials": 0})
+    out = tmp_path / "x.csv"
+    for flags in ([], ["--trials", "5"], ["--seed", "2"]):
+        assert main(["run", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+        assert not out.exists()
+
+
+def test_manifest_is_one_json_line_of_the_run(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig4d", "--out", str(out), "--trials", "3", "--workers", "2"]) == 0
+    text = Path(f"{out}.manifest.json").read_text(encoding="utf-8")
+    assert text.endswith("}\n") and text.count("\n") == 1
+    manifest = json.loads(text)
+    spec = dataclasses.replace(preset("fig4d"), trials=3)
+    table = run_experiment(spec)
+    keys = ["command", "version", "workers", "elapsed_s", "systems", "cells", "config"]
+    assert list(manifest) == keys
+    assert manifest["command"] == "figure fig4d" and manifest["workers"] == 2
+    assert manifest["version"] == __version__
+    assert type(manifest["elapsed_s"]) is float and manifest["elapsed_s"] >= 0.0
+    assert manifest["systems"] == ["b3", "b6"]
+    assert manifest["cells"] == [
+        {"system": c.system, "sweep_value": c.sweep_value, "trials": 3, "excluded": 0}
+        for c in sorted(table.cells, key=lambda c: (c.system, c.sweep_value))
+    ]
+    assert manifest["config"] == spec_to_config(spec)
 
 
 def test_figure_fig5_special_schema(tmp_path):

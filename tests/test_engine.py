@@ -201,6 +201,14 @@ def test_counter_uniform_is_keyed_and_uniform():
     assert counter_uniform(123, 77, 1, 3)[0] == u[77, 1]
     assert counter_uniform(124, 77, 1, 3)[0] != u[77, 1]
     assert counter_uniform(-1, 0, 0, 0)[0] == counter_uniform(2**64 - 1, 0, 0, 0)[0]
+    # the largest seed and trial index, frozen
+    edge = counter_uniform(2**64 - 1, np.array([[0], [2**63 - 1]]), np.array([0, 7]), 3)
+    assert edge.tolist() == [
+        [0.20513595926392947, 0.4080408938256993],
+        [0.6299092243391897, 0.42864315666359676],
+    ]
+    assert counter_uniform(5, 2**63 - 1, 2, 1).tolist() == [0.9620224220324133]
+    assert counter_uniform(2**64 - 1, 2**63 - 1, 0, 0).tolist() == [0.9803722999578949]
 
 
 def test_user_angles_keep_common_random_numbers_across_cluster_sizes():

@@ -16,6 +16,8 @@ from hbnoma.montecarlo import (
     run_experiment,
     trial_metrics,
     _Accumulator,
+    _Layout,
+    _reduce,
     validate_spec,
 )
 from scalar_oracle import fully_digital_rates, oma_rate, synthesize_scenario
@@ -425,10 +427,118 @@ def test_accumulator_stderr_survives_nearly_constant_rates():
     rates = 10.0 + np.random.default_rng(0).uniform(-1e-9, 1e-9, size=(1000, 1))
     acc = _Accumulator(1)
     for start in range(0, len(rates), CHUNK):
-        acc.add({"rate_exact": rates[start : start + CHUNK]})
+        acc.add({"rate_exact": rates}, slice(start, start + CHUNK), np.zeros(1))
     want = np.std(rates, ddof=1) / math.sqrt(len(rates))
     assert acc.stderr()[0] == pytest.approx(want, rel=1e-6)
     assert acc.mean[0] == pytest.approx(np.mean(rates), rel=1e-15)
+
+
+class _GatherAccumulator:
+    """The reduction of a cell as it ran before _reduce: a gathered copy of the kept rows of each
+    field, Chan-merged into zeros, every field summed per cell, rho among them."""
+
+    SUMMED = ("rate_lb_thm1", "rate_lb_thm2", "rate_gap", "rho")
+
+    def __init__(self, n_users):
+        self.n = 0
+        self.mean = np.zeros(n_users)
+        self.m2 = np.zeros(n_users)
+        self.sums = {}
+        self.sum_gap_ub = np.zeros(n_users)
+        self.n_gap_ub = np.zeros(n_users, dtype=np.int64)
+
+    def add(self, fields):
+        rate = fields["rate_exact"]
+        n_block = rate.shape[0]
+        if n_block == 0:
+            return
+        mean_block = rate.mean(axis=0)
+        m2_block = np.sum((rate - mean_block) ** 2, axis=0)
+        n = self.n + n_block
+        delta = mean_block - self.mean
+        self.mean = self.mean + delta * (n_block / n)
+        self.m2 = self.m2 + m2_block + delta**2 * (self.n * n_block / n)
+        self.n = n
+        for name in self.SUMMED:
+            if name in fields:
+                self.sums[name] = self.sums.get(name, 0.0) + fields[name].sum(axis=0)
+        if "gap_ub_thm3" in fields:
+            applicable = fields["gap_ub_applicable"]
+            self.sum_gap_ub += np.where(applicable, fields["gap_ub_thm3"], 0.0).sum(axis=0)
+            self.n_gap_ub += applicable.sum(axis=0)
+
+    def cell(self):
+        columns = dict.fromkeys(montecarlo._BOUND_COLUMNS, np.full_like(self.mean, np.nan))
+        for name, total in self.sums.items():
+            columns["rho_mean" if name == "rho" else name] = total / self.n
+        with np.errstate(invalid="ignore"):
+            columns["gap_ub_thm3"] = self.sum_gap_ub / self.n_gap_ub
+        stderr = np.zeros_like(self.mean)
+        if self.n > 1:
+            stderr = np.sqrt(self.m2 / (self.n - 1) / self.n)
+        return {**columns, "rate_exact": self.mean, "stderr": stderr}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+@pytest.mark.parametrize("bounds", [True, False], ids=["bounds", "no_bounds"])
+def test_the_reduction_keeps_the_bits_of_a_gather_and_merge(n_blocks, bounds):
+    # three spreads of 40, 11 and 0 rows per block; block k keeps all of spread k's rows, none of
+    # spread k + 1's and a mix of spread k + 2's, so over 3 blocks each spread meets all three.
+    # rho and the exact rate are F-ordered (as a gather of a cluster-size view's columns can
+    # be), so only row-by-row sums keep the bits of the gathered copies
+    lay = _Layout.of(TWO_CLUSTERS)
+    users, cells = len(lay.user), 3
+    lens = np.array([40, 11, 0])
+    rng = np.random.default_rng(n_blocks)
+    ref = [[_GatherAccumulator(users) for _ in range(cells)] for _ in lens]
+    new = [[_Accumulator(users) for _ in range(cells)] for _ in lens]
+    for k in range(n_blocks):
+        rows = int(lens.sum())
+        masks = (np.ones, np.zeros, lambda n, dtype: rng.random(n) < 0.6)
+        kept = np.concatenate([masks[(i - k) % 3](n, dtype=bool) for i, n in enumerate(lens)])
+        scale = 10.0 ** rng.integers(-8, 8, size=(rows, users))  # sums that round per order
+        rho = np.asfortranarray(rng.random((rows, users)) * scale)
+        cell_fields = []
+        for _ in range(cells):
+            fields = {
+                "rate_exact": np.asfortranarray(rng.random((rows, users)) * scale),
+                "rate_gap": rng.random((rows, users)) * scale,
+            }
+            fields["rate_exact"][:, 0] = -0.0  # were its mean -0.0, a merge into zeros makes it 0.0
+            if bounds:
+                fields.update(
+                    rate_lb_thm1=rng.random((rows, users)) * scale,
+                    rate_lb_thm2=rng.random((rows, users)) * scale,
+                    gap_ub_thm3=rng.random((rows, users)) * scale,
+                    gap_ub_applicable=rng.random((rows, users)) < 0.5,
+                )
+            cell_fields.append(fields)
+        ends = np.cumsum(lens)
+        for c, fields in enumerate(cell_fields):
+            for i, span in enumerate(map(slice, ends - lens, ends)):
+                gathered = {name: x[span][kept[span]] for name, x in fields.items()}
+                ref[i][c].add({"rho": rho[span][kept[span]], **gathered})
+        _reduce(new, iter(cell_fields), rho, kept, lens)
+
+    for want_row, got_row in zip(ref, new):
+        for want, got in zip(want_row, got_row):
+            assert got.n == want.n
+            assert _same_bits(got.mean, want.mean) and _same_bits(got.m2, want.m2)
+            assert got.sums.keys() == want.sums.keys()
+            assert all(_same_bits(got.sums[name], total) for name, total in want.sums.items())
+            assert _same_bits(got.sum_gap_ub, want.sum_gap_ub)
+            assert _same_bits(got.n_gap_ub, want.n_gap_ub)
+            if want.n:
+                cell = got.cell("b1", 10.0, lay, 7)
+                assert (cell.trials, cell.excluded) == (want.n, 7)
+                for name, value in want.cell().items():
+                    assert _same_bits(getattr(cell, name), value), name
+    assert sum(acc.n for row in new for acc in row) > 0
 
 
 @pytest.mark.parametrize(

@@ -39,12 +39,22 @@ def test_bound_tightness_prints_every_user(capsys):
 
 def test_ab_time_compares_a_tree_with_itself():
     src = str(SCRIPTS.parent / "src")
-    run = subprocess.run(
-        [sys.executable, str(SCRIPTS / "ab_time.py"), src, src, "1"],
-        capture_output=True, text=True, check=True, timeout=60,
+    for args, names in (
+        (["1"], ["size_sweep", "snr_sweep", "single_draw"]),
+        (["3", "snr_sweep"], ["snr_sweep"]),
+    ):
+        run = subprocess.run(
+            [sys.executable, str(SCRIPTS / "ab_time.py"), src, src, *args],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        header, *rows = run.stdout.splitlines()
+        assert header.split()[:6] == ["workload", "old_ms", "new_ms", "old/new", "q1", "q3"]
+        assert [row.split()[0] for row in rows] == names
+        for row in rows:
+            ms_old, ms_new, ratio, q1, q3 = map(float, row.split()[1:])
+            assert min(ms_old, ms_new) > 0.0 and 0.0 < q1 <= ratio <= q3
+    unknown = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_time.py"), src, src, "1", "fig5"],
+        capture_output=True, text=True, timeout=60,
     )
-    header, *rows = run.stdout.splitlines()
-    assert header.split()[:4] == ["workload", "old_ms", "new_ms", "old/new"]
-    assert [row.split()[0] for row in rows] == ["size_sweep", "snr_sweep", "single_draw"]
-    for row in rows:
-        assert all(float(x) > 0.0 for x in row.split()[1:])
+    assert unknown.returncode == 2 and "workloads: size_sweep snr_sweep single_draw" in unknown.stderr
