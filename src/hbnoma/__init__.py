@@ -15,7 +15,6 @@ from .channel import (
     dirichlet_kernel,
     gain_db_to_beta,
     user_angles,
-    validate_config,
 )
 from .errors import (
     ConfigError,
@@ -43,7 +42,6 @@ __all__ = [
     # configuration
     "ClusterSpec",
     "ScenarioConfig",
-    "validate_config",
     # engine
     "counter_uniform",
     "user_angles",

@@ -36,19 +36,36 @@ class ClusterSpec:
     gains_db: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "aod_deg", *_floats([self.aod_deg]))
-        object.__setattr__(self, "gains_db", _floats(self.gains_db))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Experiment-facing scenario description (angles in degrees, gains in dB)."""
+    """Experiment-facing scenario description (angles in degrees, gains in dB), valid once built."""
 
     clusters: tuple[ClusterSpec, ...]
     n_bs: int = 32
     n_ue: int = 8
     misalign_deg: float = 0.0
     snr_db: float = 10.0
+
+    def __post_init__(self):
+        _check_fields(self)
+        if not self.clusters:
+            raise ConfigError("configuration has no clusters", "clusters")
+        if self.n_bs < 1 or self.n_ue < 1:
+            raise ConfigError("antenna counts must be at least 1")
+        if self.misalign_deg < 0:
+            raise ConfigError(f"misalignment spread must be >= 0, got {self.misalign_deg}")
+        for idx, cluster in enumerate(self.clusters, start=1):  # rules that name its index
+            if type(cluster) is not ClusterSpec:
+                raise ConfigError(f"cluster {idx} must be a ClusterSpec, got {cluster!r}")
+            if not cluster.gains_db:
+                raise ConfigError(f"cluster {idx} has no users", f"clusters.{idx - 1}.gains_db")
+            if abs(cluster.aod_deg) >= 90.0:
+                raise ConfigError(f"cluster {idx} AoD {cluster.aod_deg} deg outside (-90, 90)")
+        _db_to_linear(max(max(cluster.gains_db) for cluster in self.clusters), "gains_db entry")
+        _db_to_linear(self.snr_db, "snr_db")
 
 
 def _reduced_ratio(delta: np.ndarray, n_elements: int, out: np.ndarray) -> tuple | None:
@@ -115,12 +132,12 @@ def gain_db_to_beta(gain_db: float) -> complex:
     return complex(10.0 ** (gain_db / 20.0), 0.0)
 
 
-def _db_to_linear(value_db: float, name: str) -> float:
-    """10^(value_db / 10); ConfigError naming the field if value_db or that is no finite float."""
+def _db_to_linear(value_db, name: str) -> float:
+    """10^(value_db / 10) as a Python float; ConfigError naming the field if either is not finite."""
     if not _finite_real(value_db):
         raise ConfigError(f"{name} must be finite, got {value_db}")
     try:
-        return 10.0 ** (value_db / 10.0)
+        return 10.0 ** (float(value_db) / 10.0)  # a numpy float32 would plan the power in float32
     except OverflowError:
         raise ConfigError(f"{name} {value_db} dB overflows a float on the linear scale") from None
 
@@ -136,52 +153,39 @@ def _finite_real(value) -> bool:
         return False
 
 
-def _floats(values) -> tuple | None:
-    """values as floats in a tuple; any entry but a finite real stays, for _check_fields to name."""
-    return None if values is None else tuple(float(v) if _finite_real(v) else v for v in values)
-
-
 def _check_fields(obj) -> None:
-    """Raise ConfigError for a non-finite number in a field of obj, or a field of the wrong type."""
+    """Check each field of the dataclass obj against its annotation; ConfigError names a bad one.
+
+    A float field or entry takes any finite real number but a bool, and holds it as a Python
+    float; a float tuple also takes a list or array. Any other field takes its exact type (a
+    tuple of clusters: a tuple). The error's field is the field, or its first bad entry.
+    """
     # NaN or inf ends in NaN rates or a numpy error, 8.0 in a TypeError, "10" dB in one late;
-    # True would count as 1 and "no" as true. A float field or entry takes any real number but a bool
+    # True would count as 1 and "no" as true; a list of clusters fails in the layout cache's hash
     for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
-        floats = (value,) if _real(value) else ()
-        if tuple[float, ...] in kinds and isinstance(value, tuple):  # a cluster has its own check
-            if not all(map(_real, value)):
-                raise ConfigError(f"{name} entries must be real numbers, got {value!r}")
-            floats = value
-        if not all(map(_finite_real, floats)):
-            raise ConfigError(f"{name} must be finite, got {value}")
-        for kind in {int, float, bool, str}.intersection(kinds):
-            if type(value) not in kinds and not (kind is float and _real(value)):  # None if optional
-                article = "an" if kind is int else "a"
-                raise ConfigError(f"{name} must be {article} {kind.__name__}, got {value!r}")
-        # a list of clusters would fail in the layout cache's hash, gains None in len()
-        if type(value) is not tuple and type(value) not in kinds and tuple in map(get_origin, kinds):
-            raise ConfigError(f"{name} must be a tuple, got {value!r}")
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Raise ConfigError for a value draws cannot be made from (overflow: see montecarlo._power)."""
-    _check_fields(cfg)
-    if not cfg.clusters:
-        raise ConfigError("configuration has no clusters")
-    if cfg.n_bs < 1 or cfg.n_ue < 1:
-        raise ConfigError("antenna counts must be at least 1")
-    if cfg.misalign_deg < 0:
-        raise ConfigError(f"misalignment spread must be >= 0, got {cfg.misalign_deg}")
-    for idx, cluster in enumerate(cfg.clusters, start=1):
-        if type(cluster) is not ClusterSpec:
-            raise ConfigError(f"cluster {idx} must be a ClusterSpec, got {cluster!r}")
-        _check_fields(cluster)
-        if len(cluster.gains_db) == 0:
-            raise ConfigError(f"cluster {idx} has no users")
-        if abs(cluster.aod_deg) >= 90.0:
-            raise ConfigError(f"cluster {idx} AoD {cluster.aod_deg} deg outside (-90, 90)")
-    _db_to_linear(max(max(cluster.gains_db) for cluster in cfg.clusters), "gains_db entry")
+        if value is None and type(None) in kinds:
+            continue
+        kind, floats = get_origin(kinds[0]) or kinds[0], kinds[0] == tuple[float, ...]
+        if floats and isinstance(value, (list, np.ndarray)):
+            value = tuple(value)
+        if type(value) is not kind and not (kind is float and _real(value)):
+            article = "an" if kind is int else "a"
+            raise ConfigError(f"{name} must be {article} {kind.__name__}, got {value!r}", name)
+        if floats or kind is float:
+            entries = value if floats else (value,)
+            held = tuple(float(v) for v in entries if _finite_real(v))
+            if len(held) < len(entries):  # name the first entry that is no real, else no finite one
+                shown = tuple(float(v) if _finite_real(v) else v for v in entries) if floats else value
+                for rule, problem in ((_real, "entries must be real numbers, got {!r}"),
+                                      (_finite_real, "must be finite, got {}")):
+                    bad = [i for i, v in enumerate(entries) if not rule(v)]
+                    if bad:
+                        where = f"{name}.{bad[0]}" if floats else name
+                        raise ConfigError(f"{name} {problem.format(shown)}", where)
+            value = held if floats else held[0]
+        object.__setattr__(obj, name, value)
 
 
 def first_user_index(gains_db) -> int:

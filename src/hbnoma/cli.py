@@ -36,9 +36,6 @@ CSV_COLUMNS = ("scenario_id", "sweep_name", "sweep_value", "cluster", "user", *V
 
 FIG5_COLUMNS = ("snr_db", "system", "sum_rate_bps_hz")
 
-# the JSON values each annotated type accepts: 8.0 is no int and true is no number
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-
 
 @dataclass(frozen=True)
 class _Sweep:
@@ -51,28 +48,31 @@ class _Sweep:
 # a config holds ExperimentSpec's fields, with the two sweep fields as one object
 _CONFIG_HINTS = get_type_hints(ExperimentSpec) | {"sweep": _Sweep}
 del _CONFIG_HINTS["sweep_name"], _CONFIG_HINTS["sweep_values"]
+# the JSON paths of the fields a config does not hold under their own names
+_PATHS = {"sweep_name": "sweep.name", "sweep_values": "sweep.values"}
 
 
 def _typed(hint, value, path: str):
-    """value checked against a field's annotation; an object becomes its dataclass.
-
-    Only shapes and types are checked here: validate_spec holds the value rules.
-    """
+    """value as a field of type hint holds it: an object becomes its dataclass, an array a tuple."""
     if is_dataclass(hint):
-        return hint(**_fields(hint, value, path))
-    args = get_args(hint)
-    if type(None) in args:  # X | None
-        if value is None:
-            return None
-        (hint,) = set(args) - {type(None)}
-        return _typed(hint, value, path)
-    if get_origin(hint) is tuple:  # tuple[X, ...]
-        if type(value) is not list or not value:
-            raise ConfigError(f"config field '{path}': expected a nonempty array, got {value!r}")
-        return tuple(_typed(args[0], v, f"{path}.{i}") for i, v in enumerate(value))
-    if type(value) not in _JSON_TYPES[hint]:
-        raise ConfigError(f"config field '{path}': expected {hint.__name__}, got {value!r}")
+        return _built(hint, _fields(hint, value, path), path)
+    if type(None) in get_args(hint) and value is not None:  # X | None
+        (hint,) = set(get_args(hint)) - {type(None)}
+    if get_origin(hint) is tuple and type(value) is list:  # tuple[X, ...]
+        return tuple(_typed(get_args(hint)[0], v, f"{path}.{i}") for i, v in enumerate(value))
     return value
+
+
+def _built(cls, kw: dict, path: str):
+    """cls(**kw) from the JSON object at path; a field's type or shape error names its path."""
+    try:
+        return cls(**kw)
+    except ConfigError as exc:
+        if exc.field is None:
+            raise
+        head, _, rest = exc.field.partition(".")
+        where = ".".join(filter(None, (path, _PATHS.get(head, head), rest)))
+        raise ConfigError(f"config field '{where}': {exc}") from None
 
 
 def _fields(cls, doc, path: str, hints=None) -> dict:
@@ -91,19 +91,12 @@ def _fields(cls, doc, path: str, hints=None) -> dict:
 
 
 def config_to_spec(doc: dict) -> ExperimentSpec:
-    """Build a validated experiment spec from a parsed JSON config."""
-    spec = _spec_of(doc)
-    validate_spec(spec)
-    return spec
-
-
-def _spec_of(doc: dict) -> ExperimentSpec:
-    """The experiment spec of a parsed JSON config, its fields typed but its values unchecked."""
+    """The experiment spec of a parsed JSON config, checked as it is built (see validate_spec)."""
     kw = _fields(ExperimentSpec, doc, "", _CONFIG_HINTS)
     if "sweep" in kw:
         sweep = kw.pop("sweep")
         kw.update(sweep_name=sweep.name, sweep_values=sweep.values)
-    return ExperimentSpec(**kw)
+    return _built(ExperimentSpec, kw, "")
 
 
 def spec_to_config(spec: ExperimentSpec) -> dict:
@@ -113,8 +106,8 @@ def spec_to_config(spec: ExperimentSpec) -> dict:
     return doc
 
 
-def load_config(path: str, validate: bool = True) -> ExperimentSpec:
-    """The spec of a JSON config file; validated unless validate is false (a run validates)."""
+def load_config(path: str) -> ExperimentSpec:
+    """The spec of a JSON config file (config_to_spec)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -126,7 +119,7 @@ def load_config(path: str, validate: bool = True) -> ExperimentSpec:
         ) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
-    return config_to_spec(doc) if validate else _spec_of(doc)
+    return config_to_spec(doc)
 
 
 def _fmt(value) -> str:
@@ -206,7 +199,7 @@ def write_manifest(table: ResultTable, out_path: str, command: str, workers: int
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    """spec with --trials and --seed applied; run_experiment validates the result."""
+    """spec with --trials and --seed applied, each checked as replace builds it."""
     if args.trials is not None:
         spec = replace(spec, trials=args.trials)
     if args.seed is not None:
@@ -224,10 +217,7 @@ def _run_and_write(spec: ExperimentSpec, args, write, command: str) -> ResultTab
 
 
 def _cmd_run(args) -> int:
-    # the file is checked as loaded only when --trials or --seed may change it: run_experiment
-    # validates the spec it runs
-    overridden = args.trials is not None or args.seed is not None
-    spec = _apply_overrides(load_config(args.config, validate=overridden), args)
+    spec = _apply_overrides(load_config(args.config), args)
     table = _run_and_write(spec, args, write_table_csv, "run")
     print(f"wrote {sum(len(cell.user) for cell in table.cells)} rows to {args.out}")
     return 0
@@ -235,8 +225,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_figure(args) -> int:
     spec = _apply_overrides(preset(args.name), args)
-    if args.dump_config is not None or args.out is None:
-        validate_spec(spec)  # a dumped config must load again; no run would check it
     if args.dump_config is not None:
         with open(args.dump_config, "w", encoding="utf-8") as fh:
             json.dump(spec_to_config(spec), fh, indent=2)
@@ -257,6 +245,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec = load_config(args.config)
+    validate_spec(spec)
     clusters = len(spec.scenario.clusters)
     users = sum(len(c.gains_db) for c in spec.scenario.clusters)
     print(

@@ -11,7 +11,14 @@ class HbnomaError(Exception):
 
 
 class ConfigError(HbnomaError):
-    """Invalid scenario or experiment configuration."""
+    """Invalid scenario or experiment configuration.
+
+    field: the field (or "field.index") a type, finiteness or emptiness rule rejected, or None.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UnknownPreset(ConfigError):

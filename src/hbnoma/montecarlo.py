@@ -33,13 +33,11 @@ from .channel import (
     ScenarioConfig,
     _check_fields,
     _db_to_linear,
-    _floats,
     _user_keys,
     centred_kernel,
     dirichlet_kernel,
     gain_db_to_beta,
     user_angles,
-    validate_config,
 )
 from .errors import (
     ConfigError,
@@ -51,6 +49,9 @@ from .errors import (
 
 LOG2 = math.log(2.0)
 CHUNK = 64
+# floats in a (rows, users, clusters) block, 128 MiB as float64; the largest preset blocks are
+# fig5's 64 x 3 rows x 88 users x 8 clusters (135,168) and fig4c's 64 x 3 x 95 x 5 (91,200)
+BLOCK_BUDGET = 2**24
 CONDITION_CAP = 1e10  # a Gram matrix with a larger condition number is singular
 LEAK_NORM_FLOOR = 1e-12  # below this the leakage combination has no direction
 SWEEP_NAMES = ("snr_db", "n_bs", "cluster_size")
@@ -67,14 +68,18 @@ class Baselines:
     oma: bool = False
     model_channels: bool = False
 
+    def __post_init__(self):
+        _check_fields(self)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sweep of one scenario, run at each misalign_grid spread (scenario.misalign_deg if None).
 
-    A sweep axis replaces the scenario value it sweeps, and the replaced value is still validated:
-    snr_db on an snr_db sweep, n_bs on an n_bs sweep, the observed cluster's gains_db on a
-    cluster_size sweep, and misalign_deg beside a misalign_grid.
+    Valid once built, but for the power rules of its layouts (validate_spec). A sweep axis
+    replaces the scenario value it sweeps, and the replaced value is still validated: snr_db on
+    an snr_db sweep, n_bs on an n_bs sweep, the observed cluster's gains_db on a cluster_size
+    sweep, and misalign_deg beside a misalign_grid.
     """
 
     scenario: ScenarioConfig
@@ -88,8 +93,47 @@ class ExperimentSpec:
     scenario_id: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "sweep_values", _floats(self.sweep_values))
-        object.__setattr__(self, "misalign_grid", _floats(self.misalign_grid))
+        _check_fields(self)
+        if not self.scenario_id:
+            raise ConfigError("scenario_id must be non-empty")
+        if self.sweep_name not in SWEEP_NAMES:
+            raise ConfigError(f"unknown sweep '{self.sweep_name}'; expected one of {SWEEP_NAMES}")
+        if not self.sweep_values:
+            raise ConfigError("sweep values must be nonempty", "sweep_values")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**64:  # counter_uniform keys on the seed's low 64 bits
+            raise ConfigError(f"seed must be in 0..2**64-1, got {self.seed}")
+        sizes = [len(c.gains_db) for c in self.scenario.clusters]
+        if (self.sweep_name == "cluster_size") != (self.observe_cluster is not None):
+            raise ConfigError(
+                f"observe_cluster={self.observe_cluster} on a {self.sweep_name} sweep: "
+                "a cluster_size sweep needs it and any other sweep ignores it"
+            )
+        if self.baselines.model_channels and len(sizes) < 2:
+            raise ConfigError(_ONE_CLUSTER)
+        if self.observe_cluster is not None and not 1 <= self.observe_cluster <= len(sizes):
+            raise ConfigError(f"observe_cluster={self.observe_cluster} outside 1..{len(sizes)}")
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigError(f"sweep values repeat: {self.sweep_values}")
+        if self.sweep_name != "snr_db" and not all(
+            v.is_integer() and v >= 1 for v in self.sweep_values
+        ):
+            raise ConfigError(f"{self.sweep_name} sweep values must be integers >= 1")
+        grid = self.misalign_grid
+        if grid is not None:
+            if not grid:
+                raise ConfigError("misalign_grid must be nonempty when given", "misalign_grid")
+            if min(grid) < 0:
+                raise ConfigError(f"misalignment spread must be >= 0, got {grid}")
+            labels = [_system_label(b, True) for b in grid]
+            if len(set(labels)) < len(labels):
+                raise ConfigError(f"misalign_grid values share a system label: {labels}")
+        users, field = float(sum(sizes)), "scenario.clusters"
+        if self.sweep_name == "cluster_size":  # drawn at the largest size
+            users += max(self.sweep_values) - sizes[self.observe_cluster - 1]
+            field = "sweep_values"
+        _check_block(field, CHUNK * len(grid or (0,)), users, len(sizes))
 
 
 # the per-user value columns of a cell; NaN where a value does not exist
@@ -172,26 +216,12 @@ class _Layout:
     # |K_u F_BB^*|^2 <= N F and kappa_max(S) <= F for F = max_n ||F_BB[:, n]||^2 >= 1 (see _power)
 
     @staticmethod
-    def of(cfg: ScenarioConfig) -> "_Layout":
-        """The layout and precoder of cfg, validated and built once per configuration."""
-        # n_bs 32.0 keys the cache like 32, misalign_deg or a gains_db entry True like 1.0, and a
-        # hit skips validate_config: such a config is checked first (valid clusters hold floats),
-        # as is one whose clusters are no tuple of ClusterSpec with a gains_db tuple
-        if not (
-            type(cfg.n_bs) is type(cfg.n_ue) is int
-            and {type(cfg.misalign_deg), type(cfg.snr_db)} <= {float, int}
-            and type(cfg.clusters) is tuple
-            and all(type(c) is ClusterSpec and type(c.gains_db) is tuple for c in cfg.clusters)
-            and {type(x) for c in cfg.clusters for x in (c.aod_deg, *c.gains_db)} == {float}
-        ):
-            validate_config(cfg)
-        return _Layout._build(cfg)
-
-    @staticmethod
     @lru_cache(maxsize=CACHE_SIZE)
-    def _build(cfg: ScenarioConfig) -> "_Layout":
-        """of's cached builder: a config reaches the cache only once it is valid."""
-        validate_config(cfg)
+    def of(cfg: ScenarioConfig) -> "_Layout":
+        """The layout and precoder of cfg, built once per configuration.
+
+        ConfigError if the largest gain or cfg's own power overflows the engine (see _power).
+        """
         cluster_of, user, _, is_anchor = _user_keys(cfg.clusters)
         n = len(cfg.clusters)
         sizes = np.bincount(cluster_of, minlength=n)
@@ -486,8 +516,9 @@ class BlockMetrics(TrialMetrics):
 
 def _metrics(cfg: ScenarioConfig, seed: int, trials, snr_db, model_channels: bool) -> tuple:
     """(layout, geometry, fields) of the pipeline on a block of draws, excluded rows unmasked."""
-    _check_trials(trials)
     lay = _Layout.of(cfg)
+    _check_block("trials", len(trials), len(lay.user), len(lay.anchors))
+    _check_trials(trials)
     p_total = _power(cfg, lay, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels)
     return lay, geo, _evaluate(geo, p_total, _bounds(geo))
@@ -550,6 +581,13 @@ def _check_trials(trials) -> None:
         integer = isinstance(trial, (int, np.integer)) and type(trial) is not bool
         if not (integer and 0 <= trial < 2**63):
             raise ConfigError(f"trial {trial} is not an integer in 0..2**63-1")
+
+
+def _check_block(field: str, rows: int, users, clusters: int) -> None:
+    """ConfigError naming field if rows x users x clusters floats exceed BLOCK_BUDGET."""
+    if (size := rows * users * clusters) > BLOCK_BUDGET:
+        raise ConfigError(f"{field} gives a block of {rows} rows x {users:.6g} users x {clusters} "
+                          f"clusters, {size:.3g} floats, over the budget of {BLOCK_BUDGET}")
 
 
 def _singular_gram_error(gram: np.ndarray) -> SingularMatrix:
@@ -699,50 +737,8 @@ def _with_cluster_size(cfg: ScenarioConfig, cluster_1based: int, size: int) -> S
 
 
 def validate_spec(spec: ExperimentSpec) -> None:
-    _checked_draws(spec)
-
-
-def _checked_draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_View]]]:
-    """spec's _draws, once spec is validated (ConfigError naming the first rule it breaks)."""
-    validate_config(spec.scenario)  # first: a scenario's error is named before the spec's
-    _check_fields(spec)  # the scenario passed above
-    _check_fields(spec.baselines)
-    if not spec.scenario_id:
-        raise ConfigError("scenario_id must be non-empty")
-    if spec.sweep_name not in SWEEP_NAMES:
-        raise ConfigError(f"unknown sweep '{spec.sweep_name}'; expected one of {SWEEP_NAMES}")
-    if len(spec.sweep_values) == 0:
-        raise ConfigError("sweep values must be nonempty")
-    if spec.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {spec.trials}")
-    if not 0 <= spec.seed < 2**64:  # counter_uniform keys on the seed's low 64 bits
-        raise ConfigError(f"seed must be in 0..2**64-1, got {spec.seed}")
-    if (spec.sweep_name == "cluster_size") != (spec.observe_cluster is not None):
-        raise ConfigError(
-            f"observe_cluster={spec.observe_cluster} on a {spec.sweep_name} sweep: "
-            "a cluster_size sweep needs it and any other sweep ignores it"
-        )
-    n_clusters = len(spec.scenario.clusters)
-    if spec.baselines.model_channels and n_clusters < 2:
-        raise ConfigError(_ONE_CLUSTER)
-    if spec.observe_cluster is not None and not 1 <= spec.observe_cluster <= n_clusters:
-        raise ConfigError(f"observe_cluster={spec.observe_cluster} outside 1..{n_clusters}")
-    if len(set(spec.sweep_values)) < len(spec.sweep_values):
-        raise ConfigError(f"sweep values repeat: {spec.sweep_values}")
-    if spec.sweep_name != "snr_db" and not all(
-        v.is_integer() and v >= 1 for v in spec.sweep_values
-    ):
-        raise ConfigError(f"{spec.sweep_name} sweep values must be integers >= 1")
-    if spec.misalign_grid is not None:
-        if len(spec.misalign_grid) == 0:
-            raise ConfigError("misalign_grid must be nonempty when given")
-        if min(spec.misalign_grid) < 0:
-            raise ConfigError(f"misalignment spread must be >= 0, got {spec.misalign_grid}")
-        labels = [_system_label(b, True) for b in spec.misalign_grid]
-        if len(set(labels)) < len(labels):
-            raise ConfigError(f"misalign_grid values share a system label: {labels}")
-    _Layout.of(spec.scenario)  # its gains and own power against its precoder
-    return _draws(spec)  # each configuration drawn, at each cell's power
+    """ConfigError if a drawn configuration or a cell's power overflows its layout (see _power)."""
+    _draws(spec)
 
 
 class _View(NamedTuple):
@@ -759,6 +755,7 @@ def _draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_Vi
     Rows take grid spreads; the first cell whose P overflows the drawn layout is named.
     """
     base = spec.scenario
+    _Layout.of(base)  # its gains and own power, even those the sweep replaces
 
     def whole(cfg, snrs):
         lay = _Layout.of(cfg)
@@ -788,7 +785,7 @@ def _draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_Vi
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run the experiment; deterministic for fixed (spec, seed) at any worker count."""
-    draws = _checked_draws(spec)
+    draws = _draws(spec)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = spec.misalign_grid if spec.misalign_grid is not None else (spec.scenario.misalign_deg,)

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hbnoma.channel import (
-    first_user_index,
-    gain_db_to_beta,
-    user_angles,
-    validate_config,
-)
+from hbnoma.channel import first_user_index, gain_db_to_beta, user_angles
 from hbnoma.errors import (
     ConfigError,
     DegenerateScenario,
@@ -76,7 +71,6 @@ class Scenario:
 
 def synthesize_scenario(cfg, seed: int, trial: int = 0) -> Scenario:
     """The draw `trial` of cfg: the angles user_angles draws, gains from cfg."""
-    validate_config(cfg)
     aod, phi = (a[0].tolist() for a in user_angles(cfg, seed, [trial]))
     angles = iter(zip(aod, phi))
     clusters = tuple(

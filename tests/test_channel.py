@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from hbnoma.channel import (
     first_user_index,
     gain_db_to_beta,
     user_angles,
-    validate_config,
 )
 from hbnoma.errors import ConfigError
 from scalar_oracle import (
@@ -158,18 +159,19 @@ def test_synthesize_orders_gains_as_configured():
     assert scen.clusters[0][1].aod_deg == 0.0
 
 
-def test_validate_config_errors():
+def test_an_invalid_scenario_cannot_be_built():
     good = ClusterSpec(aod_deg=10.0, gains_db=(0.0,))
-    with pytest.raises(ConfigError):
-        validate_config(ScenarioConfig(clusters=()))
-    with pytest.raises(ConfigError):
-        validate_config(
-            ScenarioConfig(clusters=(good, ClusterSpec(aod_deg=20.0, gains_db=())))
-        )
-    with pytest.raises(ConfigError):
-        validate_config(ScenarioConfig(clusters=(ClusterSpec(aod_deg=95.0, gains_db=(0.0,)),)))
-    with pytest.raises(ConfigError):
-        validate_config(ScenarioConfig(clusters=(good,), misalign_deg=-1.0))
+    with pytest.raises(ConfigError, match="configuration has no clusters"):
+        ScenarioConfig(clusters=())
+    # a cluster's own rules are its scenario's, where its index is known
+    with pytest.raises(ConfigError, match="cluster 2 has no users"):
+        ScenarioConfig(clusters=(good, ClusterSpec(aod_deg=20.0, gains_db=())))
+    with pytest.raises(ConfigError, match=re.escape("cluster 1 AoD 95.0 deg outside (-90, 90)")):
+        ScenarioConfig(clusters=(ClusterSpec(aod_deg=95.0, gains_db=(0.0,)),))
+    with pytest.raises(ConfigError, match="misalignment spread"):
+        ScenarioConfig(clusters=(good,), misalign_deg=-1.0)
+    with pytest.raises(ConfigError, match="misalignment spread"):  # replace builds one too
+        dataclasses.replace(ScenarioConfig(clusters=(good,)), misalign_deg=-1.0)
 
 
 def test_effective_norm_identity():

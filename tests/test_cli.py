@@ -285,9 +285,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_a_cli_run_sets_up_once(tmp_path, monkeypatch):
-    # figure validates in run_experiment alone, and so does run with no --trials or --seed; with
-    # one, run also checks the config file as loaded. Each validation draws every configuration,
-    # which a run then keeps
+    # a config is checked as it is built, and its layout rules (which no --trials or --seed
+    # changes) in run_experiment alone, which draws every configuration once and keeps it
     calls = []
     real = montecarlo._draws
     monkeypatch.setattr(montecarlo, "_draws", lambda spec: calls.append(spec) or real(spec))
@@ -296,8 +295,8 @@ def test_a_cli_run_sets_up_once(tmp_path, monkeypatch):
     for argv, draws in (
         (["figure", "fig4a", "--trials", "2"], 1),
         (["run", "--config", cfg], 1),
-        (["run", "--config", cfg, "--trials", "2"], 2),
-        (["run", "--config", cfg, "--seed", "3"], 2),
+        (["run", "--config", cfg, "--trials", "2"], 1),
+        (["run", "--config", cfg, "--seed", "3"], 1),
     ):
         calls.clear()
         assert main([*argv, "--out", out]) == 0

@@ -10,6 +10,7 @@ value) whose counts, users, manifest entry and CSV bytes all agree.
 
 import copy
 import json
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -22,10 +23,17 @@ from hypothesis import strategies as st
 
 from conftest import random_config
 from hbnoma import block_metrics, montecarlo, trial_metrics
-from hbnoma.channel import ClusterSpec, ScenarioConfig, validate_config
+from hbnoma.channel import ClusterSpec
 from hbnoma.cli import config_to_spec, main, spec_to_config
 from hbnoma.errors import ConfigError
-from hbnoma.montecarlo import CHUNK, Baselines, preset, run_experiment, validate_spec
+from hbnoma.montecarlo import (
+    BLOCK_BUDGET,
+    CHUNK,
+    Baselines,
+    preset,
+    run_experiment,
+    validate_spec,
+)
 
 N_BS = 32
 
@@ -196,7 +204,7 @@ def test_every_flaw_is_rejected(tmp_path, flaw):
     assert code == 1 and not out.exists()
 
 
-# a spec built in Python skips the JSON type check; each of these ran, or
+# a spec built in Python is checked as it is built; each of these ran, or
 # failed with a raw TypeError, before the dataclass annotations were checked
 PYTHON_FLAWS = {
     "fd 'no'": (lambda spec: replace(spec, baselines=Baselines(fd="no")), "fd must be a bool"),
@@ -209,8 +217,8 @@ PYTHON_FLAWS = {
         lambda spec: replace(spec, scenario=replace(spec.scenario, misalign_deg=True)),
         "misalign_deg must be a float",
     ),
-    # the dataclasses convert a tuple's real entries to float and leave the
-    # rest for the check; float() used to turn "10" into 10.0 and True into 1.0
+    # the dataclasses hold a tuple's real entries as floats and reject the
+    # rest; float() used to turn "10" into 10.0 and True into 1.0
     "sweep_values '1', '2'": (
         lambda spec: replace(spec, sweep_values=("1", "2")),
         "sweep_values entries must be real numbers",
@@ -250,44 +258,52 @@ def _with_first_cluster(spec, cluster):
 @pytest.mark.parametrize("flaw", sorted(PYTHON_FLAWS))
 def test_scalar_fields_of_a_python_spec_take_their_annotated_type(flaw):
     make, message = PYTHON_FLAWS[flaw]
-    spec = make(config_to_spec(FLAWLESS))
-    with pytest.raises(ConfigError, match=message):
-        validate_spec(spec)
-    with pytest.raises(ConfigError, match=message):
-        run_experiment(spec)
+    spec = config_to_spec(FLAWLESS)
+    with pytest.raises(ConfigError, match=message):  # replace builds, and checks, each dataclass
+        make(spec)
 
 
 @pytest.mark.parametrize("flaw", ["gains_db None", "clusters a list"])
-@pytest.mark.parametrize("call", [validate_config, trial_metrics, block_metrics])
+@pytest.mark.parametrize("call", [trial_metrics, block_metrics])
 def test_mistyped_clusters_are_named_by_the_library_calls(call, flaw):
+    # such a scenario cannot be built, so no library call is handed one
     make, message = PYTHON_FLAWS[flaw]
-    scenario = make(config_to_spec(FLAWLESS)).scenario
-    args = {validate_config: (), trial_metrics: (1,), block_metrics: (1, [0])}[call]
+    args = {trial_metrics: (1,), block_metrics: (1, [0])}[call]
     with pytest.raises(ConfigError, match=message):
-        call(scenario, *args)
+        call(make(config_to_spec(FLAWLESS)).scenario, *args)
 
 
 def test_float_fields_of_a_python_spec_take_ints_and_numpy_floats():
     spec = config_to_spec(FLAWLESS)
     for snr_db, misalign_deg in ((np.int64(12), 3), (np.float32(12.0), np.float32(3.0))):
         scenario = replace(spec.scenario, snr_db=snr_db, misalign_deg=misalign_deg)
+        assert type(scenario.snr_db) is type(scenario.misalign_deg) is float
         run_experiment(replace(spec, scenario=scenario))
+    # the power is planned in Python floats: a float32 12 dB, as the field or the snr_db
+    # argument, runs as 12.0 does (10 ** 1.2 in float32 moved fig4a's rates by 1.2e-7)
+    fig4a = preset("fig4a").scenario
+    want = trial_metrics(replace(fig4a, snr_db=12.0), 1, 0)
+    for got in (
+        trial_metrics(replace(fig4a, snr_db=np.float32(12.0)), 1, 0),
+        trial_metrics(fig4a, 1, 0, snr_db=np.float32(12.0)),
+    ):
+        for name in vars(want):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_tuple_entries_of_a_python_spec_take_real_numbers_only():
     fig4a = preset("fig4a")
-    for spec, field in (
-        (replace(fig4a, sweep_values=("10", "20")), "sweep_values"),
-        (replace(fig4a, misalign_grid=("3",)), "misalign_grid"),
-        (replace(fig4a, sweep_values=(True,)), "sweep_values"),
+    for changes, field in (
+        ({"sweep_values": ("10", "20")}, "sweep_values"),
+        ({"misalign_grid": ("3",)}, "misalign_grid"),
+        ({"sweep_values": (True,)}, "sweep_values"),
     ):
         with pytest.raises(ConfigError, match=field):
-            run_experiment(replace(spec, trials=2))
-    cluster = ClusterSpec(aod_deg="10", gains_db=("0", "-1"))  # builds; the check names it
+            replace(fig4a, trials=2, **changes)
     with pytest.raises(ConfigError, match="aod_deg"):
-        validate_config(ScenarioConfig(clusters=(cluster,)))
+        ClusterSpec(aod_deg="10", gains_db=("0", "-1"))
     with pytest.raises(ConfigError, match="gains_db"):
-        validate_config(ScenarioConfig(clusters=(replace(cluster, aod_deg=10.0),)))
+        ClusterSpec(aod_deg=10.0, gains_db=("0", "-1"))
     # numpy and int entries are real numbers, held as floats
     spec = replace(fig4a, sweep_values=(np.float32(10.0), 20), misalign_grid=(np.int64(3),))
     assert spec.sweep_values == (10.0, 20.0) and type(spec.misalign_grid[0]) is float
@@ -389,3 +405,50 @@ def test_an_snr_argument_past_the_power_rule_is_rejected_before_drawing(monkeypa
     for snr_db in (3080.0, 3058.46):
         with pytest.raises(ConfigError, match=f"snr_db {snr_db}"):
             call(scenario, 1, range(4) if call is block_metrics else 0, snr_db=snr_db)
+
+
+@pytest.mark.parametrize("value", [2**64, 1e300], ids=["2**64", "1e300"])
+def test_a_cluster_size_past_the_block_budget_is_rejected_before_resizing(
+    tmp_path, capsys, monkeypatch, value
+):
+    # both pass the integer >= 1 rule; resizing the cluster to draw them built a gain
+    # tuple that large, and `hbnoma validate` exhausted memory as `run` did
+    monkeypatch.setattr(montecarlo, "_with_cluster_size", lambda *args: pytest.fail("resized"))
+    doc = copy.deepcopy(FLAWLESS)
+    doc["sweep"]["values"] = [1, value]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: sweep_values gives a block of .* over the budget", err)
+    with pytest.raises(ConfigError, match="sweep_values gives a block"):
+        replace(config_to_spec(FLAWLESS), sweep_values=(1.0, float(value)))
+
+
+def test_the_block_budget_counts_rows_users_and_clusters():
+    # FLAWLESS draws CHUNK rows of 1 + size users (the observed cluster at its largest
+    # size, and one other) in 2 clusters; a misalign_grid of 2 doubles the rows
+    spec = config_to_spec(FLAWLESS)
+    largest = BLOCK_BUDGET // (CHUNK * 2) - 1
+    replace(spec, sweep_values=(1.0, float(largest)))
+    with pytest.raises(ConfigError, match="sweep_values gives a block"):
+        replace(spec, sweep_values=(1.0, float(largest + 1)))
+    with pytest.raises(ConfigError, match="sweep_values gives a block"):
+        replace(spec, sweep_values=(1.0, float(largest)), misalign_grid=(0.0, 1.0))
+    for name in montecarlo.PRESETS:  # every preset sits far below it
+        p = preset(name)
+        grid = len(p.misalign_grid or (0,))
+        sizes = [len(c.gains_db) for c in p.scenario.clusters]
+        if p.sweep_name == "cluster_size":
+            sizes[p.observe_cluster - 1] = int(max(p.sweep_values))
+        assert CHUNK * grid * sum(sizes) * len(sizes) <= BLOCK_BUDGET // 100
+
+
+def test_a_block_metrics_call_past_the_block_budget_is_rejected_before_drawing(monkeypatch):
+    scenario = preset("fig4a").scenario  # 30 users in 5 clusters
+    rows = BLOCK_BUDGET // (30 * 5)
+    monkeypatch.setattr(montecarlo, "_draw", lambda *args: pytest.fail("drew past the budget"))
+    with pytest.raises(ConfigError, match=f"trials gives a block of {rows + 1} rows x 30 users"):
+        block_metrics(scenario, 1, range(rows + 1))
+    monkeypatch.undo()
+    assert block_metrics(scenario, 1, range(2)).rate_exact.shape == (2, 30)

@@ -258,46 +258,52 @@ def _with_first_cluster(cfg, cluster):
 
 
 @pytest.mark.parametrize(
-    "cfg, snr_db",
+    "make, snr_db",
     [
-        pytest.param(dataclasses.replace(FIG4A, misalign_deg=math.nan), 15.0, id="misalign_deg"),
+        pytest.param(
+            lambda: dataclasses.replace(FIG4A, misalign_deg=math.nan), 15.0, id="misalign_deg"
+        ),
         # an int that no float holds: float() and math.isfinite raise OverflowError on it
-        pytest.param(dataclasses.replace(FIG4A, misalign_deg=10**400), 15.0, id="misalign_deg-int"),
-        pytest.param(dataclasses.replace(FIG4A, snr_db=math.nan), None, id="snr_db-field"),
         pytest.param(
-            _with_first_cluster(FIG4A, ClusterSpec(math.nan, (0.0,))), 15.0, id="aod_deg"
+            lambda: dataclasses.replace(FIG4A, misalign_deg=10**400), 15.0, id="misalign_deg-int"
+        ),
+        pytest.param(lambda: dataclasses.replace(FIG4A, snr_db=math.nan), None, id="snr_db-field"),
+        pytest.param(
+            lambda: _with_first_cluster(FIG4A, ClusterSpec(math.nan, (0.0,))), 15.0, id="aod_deg"
         ),
         pytest.param(
-            _with_first_cluster(FIG4A, ClusterSpec(10.0, (0.0, -math.inf))), 15.0, id="gains_db"
+            lambda: _with_first_cluster(FIG4A, ClusterSpec(10.0, (0.0, -math.inf))),
+            15.0,
+            id="gains_db",
         ),
-        pytest.param(FIG4A, math.nan, id="snr_db-argument"),
-        pytest.param(FIG4A, math.inf, id="snr_db-argument-inf"),
-        pytest.param(FIG4A, -(10**400), id="snr_db-argument-int"),
+        pytest.param(lambda: FIG4A, math.nan, id="snr_db-argument"),
+        pytest.param(lambda: FIG4A, math.inf, id="snr_db-argument-inf"),
+        pytest.param(lambda: FIG4A, -(10**400), id="snr_db-argument-int"),
     ],
 )
-def test_non_finite_values_are_rejected(cfg, snr_db):
-    # unchecked, each ends in a raw LinAlgError or NaN rates; an invalid
-    # configuration never enters the layout cache, so every call raises
+def test_non_finite_values_are_rejected(make, snr_db):
+    # unchecked, each ends in a raw LinAlgError or NaN rates: a configuration holding one
+    # cannot be built, and an snr_db argument is checked on every call
     for _ in range(2):
         with pytest.raises(ConfigError, match="must be finite"):
-            trial_metrics(cfg, 1, 0, snr_db=snr_db)
+            trial_metrics(make(), 1, 0, snr_db=snr_db)
         with pytest.raises(ConfigError, match="must be finite"):
-            block_metrics(cfg, 1, [0, 1], snr_db=snr_db)
+            block_metrics(make(), 1, [0, 1], snr_db=snr_db)
 
 
 def test_invalid_config_raises_on_every_call():
-    bad = dataclasses.replace(FIG4A, misalign_deg=-1.0)
+    # such a configuration cannot be built, so it never reaches the layout cache
     for _ in range(3):
         with pytest.raises(ConfigError, match="misalignment spread"):
-            trial_metrics(bad, 1, 0)
+            trial_metrics(dataclasses.replace(FIG4A, misalign_deg=-1.0), 1, 0)
         with pytest.raises(ConfigError, match="misalignment spread"):
-            block_metrics(bad, 1, [0])
+            block_metrics(dataclasses.replace(FIG4A, misalign_deg=-1.0), 1, [0])
 
 
-def test_a_cached_layout_does_not_let_a_mistyped_twin_through():
+def test_a_mistyped_twin_of_a_cached_layout_cannot_be_built():
     # n_bs 32.0 equals and hashes like 32, and misalign_deg True, aod_deg True and a
-    # gains_db entry True or Fraction(1) like 1.0: each would hit the valid config's
-    # cache entry and skip the type check
+    # gains_db entry True or Fraction(1) like 1.0: built, each would hit the valid
+    # config's cache entry
     first, rest = FIG4A.clusters[0], FIG4A.clusters[1:]
 
     def with_first(**changes):
@@ -306,24 +312,23 @@ def test_a_cached_layout_does_not_let_a_mistyped_twin_through():
     def with_gain(gain):
         return with_first(gains_db=(gain, *first.gains_db[1:]))
 
-    _Layout._build.cache_clear()
-    for valid, twin, message in [
-        (FIG4A, dataclasses.replace(FIG4A, n_bs=32.0), "n_bs must be an int"),
+    _Layout.of.cache_clear()
+    for make, valid, twin, message in [
+        (lambda v: dataclasses.replace(FIG4A, n_bs=v), 32, 32.0, "n_bs must be an int"),
         (
-            dataclasses.replace(FIG4A, misalign_deg=1.0),
-            dataclasses.replace(FIG4A, misalign_deg=True),
+            lambda v: dataclasses.replace(FIG4A, misalign_deg=v),
+            1.0,
+            True,
             "misalign_deg must be a float",
         ),
-        (with_first(aod_deg=1.0), with_first(aod_deg=True), "aod_deg must be a float"),
-        (with_gain(1.0), with_gain(True), "gains_db entries must be real numbers"),
-        (with_gain(1.0), with_gain(Fraction(1)), "gains_db entries must be real numbers"),
+        (lambda v: with_first(aod_deg=v), 1.0, True, "aod_deg must be a float"),
+        (with_gain, 1.0, True, "gains_db entries must be real numbers"),
+        (with_gain, 1.0, Fraction(1), "gains_db entries must be real numbers"),
     ]:
         assert twin == valid and hash(twin) == hash(valid)
-        trial_metrics(valid, 1, 0)
+        trial_metrics(make(valid), 1, 0)
         with pytest.raises(ConfigError, match=message):
-            trial_metrics(twin, 1, 0)
-        with pytest.raises(ConfigError, match=message):
-            block_metrics(twin, 1, [0])
+            make(twin)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,29 @@ def test_ab_time_compares_a_tree_with_itself():
         capture_output=True, text=True, timeout=60,
     )
     assert unknown.returncode == 2 and "workloads: size_sweep snr_sweep single_draw" in unknown.stderr
+
+
+def test_config_diff_finds_a_tree_agrees_with_itself(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "config_diff.py"), src, src, "300"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    counts = dict(line.rsplit(": ", 1) for line in run.stdout.splitlines())
+    accepted = int(counts["accepted on both sides with equal specs"])
+    rejected = int(counts["rejected on both sides naming the same field"])
+    assert counts["configs"] == "300" and counts["disagreements"] == "0"
+    assert accepted + rejected == 300 and min(accepted, rejected) > 30
+    # a tree whose trials rule differs disagrees on every config the other accepts
+    shutil.copytree(Path(src) / "hbnoma", tmp_path / "hbnoma")
+    montecarlo = tmp_path / "hbnoma" / "montecarlo.py"
+    text = montecarlo.read_text()
+    assert text.count("if self.trials < 1:") == 1
+    montecarlo.write_text(text.replace("if self.trials < 1:", "if self.trials < 5:"))
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "config_diff.py"), src, str(tmp_path), "300"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 1
+    assert int(run.stdout.split("disagreements: ")[1].split()[0]) >= accepted
+    assert "new: rejected trials must be >= 1, got 4" in run.stdout  # the message kept its text
