@@ -199,12 +199,9 @@ def write_manifest(table: ResultTable, out_path: str, command: str, workers: int
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    """spec with --trials and --seed applied, each checked as replace builds it."""
-    if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    return spec
+    """spec with --trials and --seed applied, checked once as replace builds it."""
+    given = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
+    return replace(spec, **given) if given else spec
 
 
 def _run_and_write(spec: ExperimentSpec, args, write, command: str) -> ResultTable:

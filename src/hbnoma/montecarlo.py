@@ -102,8 +102,7 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be nonempty", "sweep_values")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:  # counter_uniform keys on the seed's low 64 bits
-            raise ConfigError(f"seed must be in 0..2**64-1, got {self.seed}")
+        _check_seed(self.seed)
         sizes = [len(c.gains_db) for c in self.scenario.clusters]
         if (self.sweep_name == "cluster_size") != (self.observe_cluster is not None):
             raise ConfigError(
@@ -290,25 +289,6 @@ class _Geometry:
     kappa_s_unit: np.ndarray | None  # (T, N); None when the bounds are skipped
 
 
-def _bounds(geo: _Geometry) -> tuple[np.ndarray, ...]:
-    """The left prefixes of geo's bound formulas that read no power, once for all its powers.
-
-    (T, U) each, in the order _evaluate unpacks them: rho^2, 1 - rho^2, (1 - rho^2) c|beta|^2,
-    rho^2 kappa_min, the cluster's kappa_max(S) at unit power and ||K_anchor||^2, zeta_noise,
-    sigma^2 / (||K_u||^2 c|beta|^2), and whether the decode position is 2 or later.
-    """
-    lay, rho_sq = geo.layout, geo.rho**2
-    miss = 1.0 - rho_sq
-    k_first = geo.k_first[:, lay.cluster_of]
-    zeta_noise = k_first / (lay.kappa_min * geo.k_user)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        noise = 1.0 / (geo.k_user * lay.c_beta_sq)
-    return (
-        rho_sq, miss, miss * lay.c_beta_sq, rho_sq * lay.kappa_min,
-        geo.kappa_s_unit[:, lay.cluster_of], k_first, zeta_noise, noise, geo.position >= 2,
-    )
-
-
 @dataclass
 class _Draw:
     """What a block of draws fixes before any power split, (T, ...) arrays."""
@@ -445,34 +425,44 @@ def _log2p(x: np.ndarray) -> np.ndarray:
     return np.log1p(x) / LOG2
 
 
-def _evaluate(geo: _Geometry, p_total: float, b: tuple | None) -> dict:
-    """Per-user (T, U) fields at SNR p_total, sigma^2 = 1: exact rate, gap and, given b, bounds."""
-    lay = geo.layout
-    p_user = p_total * geo.share_user
-    p_earlier = p_total * geo.share_earlier
-    cb = lay.c_beta_sq
-    rate = _log2p(
-        p_user * geo.own_gain / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + 1.0)
-    )
-    aligned = _log2p(p_user * cb / (p_earlier * cb + lay.finv_diag[lay.cluster_of]))
-    out = {"rho": geo.rho, "rate_exact": rate, "rate_gap": aligned - rate}
-    if b is None:
-        return out
-    rho_sq, miss, miss_cb, rho_sq_kappa, kappa_s_unit, k_first, zeta_noise, noise, later = b
-    kappa_s = p_total * kappa_s_unit
-    zeta_intra = p_earlier * rho_sq * cb
-    zeta_inter = miss_cb * kappa_s * k_first / lay.kappa_min
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = miss * kappa_s + noise
-        den = rho_sq_kappa * p_earlier / k_first
-        gap_ub = np.where(den > 0.0, _log2p(num / np.where(den > 0.0, den, 1.0)), np.inf)
-    out.update(
-        rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + 1.0 / lay.kappa_min)),
-        rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),
-        gap_ub_thm3=gap_ub,
-        gap_ub_applicable=later & np.isfinite(gap_ub),
-    )
-    return out
+def _evaluate(geo: _Geometry, p_totals):
+    """Yield per-user (T, U) fields at each SNR P of p_totals, sigma^2 = 1: exact rate, gap and, if
+    _view built geo's kappa_max(S) stack, bounds, their power-free prefixes computed once."""
+    lay, cb = geo.layout, geo.layout.c_beta_sq
+    bounds = geo.kappa_s_unit is not None
+    if bounds:
+        rho_sq = geo.rho**2
+        miss = 1.0 - rho_sq
+        miss_cb, rho_sq_kappa = miss * cb, rho_sq * lay.kappa_min
+        kappa_s_unit = geo.kappa_s_unit[:, lay.cluster_of]
+        k_first = geo.k_first[:, lay.cluster_of]  # ||K_anchor||^2
+        zeta_noise = k_first / (lay.kappa_min * geo.k_user)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            noise = 1.0 / (geo.k_user * cb)  # sigma^2 / (||K_u||^2 c|beta|^2)
+        later = geo.position >= 2
+    for p_total in p_totals:
+        p_user = p_total * geo.share_user
+        p_earlier = p_total * geo.share_earlier
+        rate = _log2p(
+            p_user * geo.own_gain / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + 1.0)
+        )
+        aligned = _log2p(p_user * cb / (p_earlier * cb + lay.finv_diag[lay.cluster_of]))
+        out = {"rho": geo.rho, "rate_exact": rate, "rate_gap": aligned - rate}
+        if bounds:
+            kappa_s = p_total * kappa_s_unit
+            zeta_intra = p_earlier * rho_sq * cb
+            zeta_inter = miss_cb * kappa_s * k_first / lay.kappa_min
+            with np.errstate(divide="ignore", invalid="ignore"):
+                num = miss * kappa_s + noise
+                den = rho_sq_kappa * p_earlier / k_first
+                gap_ub = np.where(den > 0.0, _log2p(num / np.where(den > 0.0, den, 1.0)), np.inf)
+            out.update(
+                rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + 1.0 / lay.kappa_min)),
+                rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),
+                gap_ub_thm3=gap_ub,
+                gap_ub_applicable=later & np.isfinite(gap_ub),
+            )
+        yield out
 
 
 def _power(cfg: ScenarioConfig, lay: _Layout, snr_db: float | None = None) -> float:
@@ -516,12 +506,20 @@ class BlockMetrics(TrialMetrics):
 
 def _metrics(cfg: ScenarioConfig, seed: int, trials, snr_db, model_channels: bool) -> tuple:
     """(layout, geometry, fields) of the pipeline on a block of draws, excluded rows unmasked."""
+    # a spec's rules for these arguments, before the layout cache hashes cfg
+    if type(cfg) is not ScenarioConfig:
+        raise ConfigError(f"cfg must be a ScenarioConfig, got {cfg!r}")
+    if not _is_int(seed):
+        raise ConfigError(f"seed must be an int, got {seed!r}")
+    _check_seed(seed)
+    if type(model_channels) is not bool:
+        raise ConfigError(f"model_channels must be a bool, got {model_channels!r}")
     lay = _Layout.of(cfg)
     _check_block("trials", len(trials), len(lay.user), len(lay.anchors))
     _check_trials(trials)
     p_total = _power(cfg, lay, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels)
-    return lay, geo, _evaluate(geo, p_total, _bounds(geo))
+    return lay, geo, next(_evaluate(geo, (p_total,)))
 
 
 def block_metrics(
@@ -574,12 +572,21 @@ def trial_metrics(
     )
 
 
+def _is_int(x) -> bool:
+    """Whether x is a Python or numpy integer but no bool: 1.5, True and "1" would key as 1."""
+    return isinstance(x, (int, np.integer)) and type(x) is not bool
+
+
+def _check_seed(seed: int) -> None:
+    """ConfigError unless seed is in 0..2**64-1: counter_uniform keys on its low 64 bits."""
+    if not 0 <= seed < 2**64:  # -1 would run seed 2**64 - 1, 2**64 + 1 seed 1
+        raise ConfigError(f"seed must be in 0..2**64-1, got {seed}")
+
+
 def _check_trials(trials) -> None:
     """ConfigError naming the first trial index that is no integer in 0..2**63 - 1 (int64 keys)."""
-    for trial in trials:
-        # -1 would wrap to trial 2**64 - 1, 1.5 and True draw trial 1, 2**63 overflows
-        integer = isinstance(trial, (int, np.integer)) and type(trial) is not bool
-        if not (integer and 0 <= trial < 2**63):
+    for trial in trials:  # -1 would wrap to trial 2**64 - 1, 2**63 overflows
+        if not (_is_int(trial) and 0 <= trial < 2**63):
             raise ConfigError(f"trial {trial} is not an integer in 0..2**63-1")
 
 
@@ -614,7 +621,7 @@ class _Accumulator:
 
     def __init__(self, n_users: int):
         self.n = 0
-        self.mean = np.zeros(n_users)
+        self.mean = np.zeros(n_users)  # the first block's merge into zeros writes its own bits
         self.m2 = np.zeros(n_users)
         self.sums: dict[str, np.ndarray] = {}
         self.sum_gap_ub = np.zeros(n_users)
@@ -632,13 +639,10 @@ class _Accumulator:
         mean_block = rate.mean(axis=0)
         deviation = rate - mean_block
         m2_block = np.square(deviation, out=deviation).sum(axis=0)
-        if self.n == 0:  # the bits of a merge into zeros
-            self.mean, self.m2 = 0.0 + mean_block, 0.0 + m2_block
-        else:
-            n = self.n + n_block
-            delta = mean_block - self.mean
-            self.mean = self.mean + delta * (n_block / n)
-            self.m2 = self.m2 + m2_block + delta**2 * (self.n * n_block / n)
+        n = self.n + n_block
+        delta = mean_block - self.mean
+        self.mean = self.mean + delta * (n_block / n)
+        self.m2 = self.m2 + m2_block + delta**2 * (self.n * n_block / n)
         self.n += n_block
         for name in self.SUMMED:
             if name in fields:
@@ -807,9 +811,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
 
         for lens, geos in _map_blocks(one_block, max(counts), workers):
             for v, (view, geo) in enumerate(zip(views, geos)):
-                terms = _bounds(geo) if spec.baselines.hb_lb else None
-                # one SNR's fields at a time on the view's terms: memory stays that of one view
-                cell_fields = (_evaluate(geo, p_total, terms) for _, p_total in view.cells)
+                # one SNR's fields at a time: memory stays that of one view
+                cell_fields = _evaluate(geo, [p_total for _, p_total in view.cells])
                 _reduce(accs[d, v], cell_fields, geo.rho, geo.excluded == 0, lens)
 
     cells: list[ResultCell] = []

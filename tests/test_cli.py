@@ -350,14 +350,19 @@ def test_figure_fig5_runs_without_the_bounds_its_table_does_not_read(tmp_path, m
     want = tmp_path / "want.csv"
     write_sum_rate_csv(run_experiment(dataclasses.replace(preset("fig5"), trials=3)), str(want))
 
-    def no_bounds(geo):
-        raise AssertionError("figure fig5 computed the bounds")
+    view, views = montecarlo._view, []
 
-    monkeypatch.setattr(montecarlo, "_bounds", no_bounds)
+    def no_bounds(*args, **kwargs):
+        geo = view(*args, **kwargs)
+        assert geo.kappa_s_unit is None, "figure fig5 computed the kappa_max(S) stack"
+        views.append(geo)
+        return geo
+
+    monkeypatch.setattr(montecarlo, "_view", no_bounds)
     out, dump = tmp_path / "fig5.csv", tmp_path / "fig5.json"
     argv = ["figure", "fig5", "--trials", "3", "--out", str(out), "--dump-config", str(dump)]
     assert main(argv) == 0
-    assert out.read_bytes() == want.read_bytes()
+    assert views and out.read_bytes() == want.read_bytes()
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert manifest["config"]["baselines"]["hb_lb"] is False
     assert json.loads(dump.read_text())["baselines"]["hb_lb"] is True

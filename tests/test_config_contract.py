@@ -273,6 +273,41 @@ def test_mistyped_clusters_are_named_by_the_library_calls(call, flaw):
         call(make(config_to_spec(FLAWLESS)).scenario, *args)
 
 
+# each changes one argument of a library call: the spec's message, or None for one that runs
+# as seed 1 does; before the check, seeds 1.5, True, "1" and 2**64 + 1 ran seed 1's draws, -1
+# ran seed 2**64 - 1's, "no" and 1 ran the modeled channel, and a spec died in an AttributeError
+ARGUMENTS = {
+    "cfg an ExperimentSpec": (
+        {"cfg": preset("fig4a")}, "cfg must be a ScenarioConfig, got ExperimentSpec("
+    ),
+    "seed 1.5": ({"seed": 1.5}, "seed must be an int, got 1.5"),
+    "seed True": ({"seed": True}, "seed must be an int, got True"),
+    "seed '1'": ({"seed": "1"}, "seed must be an int, got '1'"),
+    "seed 2**64 + 1": ({"seed": 2**64 + 1}, f"seed must be in 0..2**64-1, got {2**64 + 1}"),
+    "seed -1": ({"seed": -1}, "seed must be in 0..2**64-1, got -1"),
+    "model_channels 'no'": ({"model_channels": "no"}, "model_channels must be a bool, got 'no'"),
+    "model_channels 1": ({"model_channels": 1}, "model_channels must be a bool, got 1"),
+    "seed np.int64(1)": ({"seed": np.int64(1)}, None),  # numpy integers pass, as trial indices do
+    "seed np.uint64(1)": ({"seed": np.uint64(1)}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENTS))
+@pytest.mark.parametrize("call", [trial_metrics, block_metrics])
+def test_library_calls_check_their_arguments_as_a_spec_does(monkeypatch, call, case):
+    scenario = preset("fig4a").scenario
+    change, message = ARGUMENTS[case]
+    args = {"cfg": scenario, "seed": 1, "model_channels": False, **change}
+    trials = [0] if call is block_metrics else 0
+    if message is None:
+        want, got = call(scenario, 1, trials), call(args["cfg"], args["seed"], trials)
+        assert got.rate_exact.tobytes() == want.rate_exact.tobytes()
+        return
+    monkeypatch.setattr(montecarlo._Layout, "of", lambda cfg: pytest.fail("built a layout"))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call(args["cfg"], args["seed"], trials, model_channels=args["model_channels"])
+
+
 def test_float_fields_of_a_python_spec_take_ints_and_numpy_floats():
     spec = config_to_spec(FLAWLESS)
     for snr_db, misalign_deg in ((np.int64(12), 3), (np.float32(12.0), np.float32(3.0))):

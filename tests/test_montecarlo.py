@@ -218,9 +218,17 @@ def test_each_block_is_drawn_viewed_and_evaluated_once_for_the_whole_grid(
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
 
+    evaluate = montecarlo._evaluate
+
+    def counted_evaluate(geo, p_totals):  # one count per SNR's fields
+        for fields in evaluate(geo, p_totals):
+            calls.append("_evaluate")
+            yield fields
+
     counted(channel, "counter_uniform")
-    for name in ("_draw", "_view", "_evaluate"):
+    for name in ("_draw", "_view"):
         counted(montecarlo, name)
+    monkeypatch.setattr(montecarlo, "_evaluate", counted_evaluate)
     views = 1 if sweep_name == "snr_db" else len(sweep_values)
     for grid in ((3.0,), (0.0, 3.0, 5.0, 2.5)):
         spec = small_spec(
