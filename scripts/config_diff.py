@@ -10,8 +10,11 @@ or entry added, or a value set to one such as null, true, 8.0, "", [],
 2**64 or 1e300. Each tree puts it through `config_to_spec` and then
 `validate_spec`, as `hbnoma validate` does. The trees agree on a config when
 both accept it with equal specs (compared as their `spec_to_config` forms),
-or both reject it with a ConfigError naming the same field. The script
-prints both counts and every disagreement, and exits 1 if there is one.
+or both reject it with a ConfigError naming the same field. The base
+configs hold every field of the format that OLD_SRC knows: a field only
+NEW_SRC has is left at its default, and its key in NEW_SRC's spec does not
+count as a difference. The script prints both counts and every
+disagreement, and exits 1 if there is one.
 
 No config is drawn whose `cluster_size` sweep holds a value above
 MAX_CLUSTER_SIZE: a tree without a size budget builds a gain tuple that
@@ -37,7 +40,7 @@ VALUES = (
 )
 _CLUSTERS = [{"aod_deg": -30.0, "gains_db": [0.0, -3.0]}, {"aod_deg": 30.0, "gains_db": [0.0]}]
 _SCENARIO = {"clusters": _CLUSTERS, "n_bs": 32, "n_ue": 8, "misalign_deg": 2.0, "snr_db": 10.0}
-_BASELINES = {"hb_lb": True, "fd": True, "oma": False, "model_channels": False}
+_BASELINES = {"hb_lb": True, "hb_gap": True, "fd": True, "oma": False, "model_channels": False}
 # every key of the format, so that deleting one falls back to its default
 _BASE = {"scenario_id": "diff", "scenario": _SCENARIO, "trials": 4, "seed": 3,
          "baselines": _BASELINES}
@@ -57,10 +60,10 @@ def _paths(node, path=()):
             yield from _paths(child, path + (key,))
 
 
-def _config(rng: random.Random) -> tuple[dict, str]:
-    """A base config with one random mutation that no tree allocates for, and its description."""
+def _config(rng: random.Random, bases) -> tuple[dict, str]:
+    """One of bases with one random mutation that no tree allocates for, and its description."""
     while True:
-        doc = copy.deepcopy(rng.choice(BASES))
+        doc = copy.deepcopy(rng.choice(bases))
         change = _mutate(doc, rng)
         if not _allocates(doc):
             return doc, change
@@ -93,6 +96,24 @@ def _at(doc, path):
     for key in path:
         doc = doc[key]
     return doc
+
+
+def _known_to(tree, doc) -> dict:
+    """A copy of doc without the fields that tree rejects as unknown."""
+    doc = copy.deepcopy(doc)
+    while (verdict := _outcome(tree, doc))[2].endswith(": unknown field"):
+        *parents, key = re.match(r"config field '([^']*)'", verdict[2])[1].split(".")
+        del _at(doc, [int(p) if p.isdigit() else p for p in parents])[key]
+    return doc
+
+
+def _shared(new, old):
+    """new, a spec's config form, without the object keys that old's lacks, at any depth."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        return {key: _shared(value, old[key]) for key, value in new.items() if key in old}
+    if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        return [_shared(n, o) for n, o in zip(new, old)]
+    return new
 
 
 def _name(path) -> str:
@@ -152,10 +173,11 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         try:
             trees = [_load(src, f"hbnoma_{tag}", Path(tmp)) for src, tag in zip(argv, TAGS)]
+            bases = [_known_to(trees[0], base) for base in BASES]
             for _ in range(count):
-                doc, change = _config(rng)
+                doc, change = _config(rng, bases)
                 old, new = (_outcome(tree, doc) for tree in trees)
-                if old[:2] == new[:2] and old[0] in tally:
+                if old[0] == new[0] and old[0] in tally and old[1] == _shared(new[1], old[1]):
                     tally[old[0]] += 1
                 else:
                     disagreements.append((change, old, new))

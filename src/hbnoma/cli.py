@@ -99,9 +99,14 @@ def config_to_spec(doc: dict) -> ExperimentSpec:
     return _built(ExperimentSpec, kw, "")
 
 
+def _field_values(obj) -> dict:
+    """A dataclass's fields by name: its vars but a configuration's stored hash."""
+    return {name: value for name, value in vars(obj).items() if name != "_hash"}
+
+
 def spec_to_config(spec: ExperimentSpec) -> dict:
     """Full JSON form of a spec; config_to_spec(spec_to_config(s)) == s."""
-    doc = json.loads(json.dumps(spec, default=vars))  # dataclasses as their fields
+    doc = json.loads(json.dumps(spec, default=_field_values))
     doc["sweep"] = {"name": doc.pop("sweep_name"), "values": doc.pop("sweep_values")}
     return doc
 
@@ -232,8 +237,8 @@ def _cmd_figure(args) -> int:
     if args.out is None:
         raise ConfigError("figure needs --out (or --dump-config to only export the config)")
     write = write_table_csv
-    if args.name == "fig5":  # the sum-rate table reads rate_exact alone: run without the bounds
-        spec = replace(spec, baselines=replace(spec.baselines, hb_lb=False))
+    if args.name == "fig5":  # the sum-rate table reads rate_exact alone: no bounds, no gap
+        spec = replace(spec, baselines=replace(spec.baselines, hb_lb=False, hb_gap=False))
         write = write_sum_rate_csv
     _run_and_write(spec, args, write, f"figure {args.name}")
     print(f"wrote {args.out}")

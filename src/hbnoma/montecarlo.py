@@ -63,7 +63,8 @@ _OVERFLOW = "P N_BS N_UE |beta|^2 times the beam gains overflows a float"
 class Baselines:
     """Which curves an experiment produces besides the hybrid exact rates."""
 
-    hb_lb: bool = True
+    hb_lb: bool = True  # the Thm 1/2 rate bounds and the Thm 3 gap bound
+    hb_gap: bool = True  # the hybrid rate gap to the perfectly aligned system (rate_gap)
     fd: bool = False
     oma: bool = False
     model_channels: bool = False
@@ -425,9 +426,10 @@ def _log2p(x: np.ndarray) -> np.ndarray:
     return np.log1p(x) / LOG2
 
 
-def _evaluate(geo: _Geometry, p_totals):
-    """Yield per-user (T, U) fields at each SNR P of p_totals, sigma^2 = 1: exact rate, gap and, if
-    _view built geo's kappa_max(S) stack, bounds, their power-free prefixes computed once."""
+def _evaluate(geo: _Geometry, p_totals, gap: bool = True):
+    """Yield per-user (T, U) fields at each SNR P of p_totals, sigma^2 = 1: exact rate, rate_gap
+    if gap and, if _view built geo's kappa_max(S) stack, bounds, their power-free prefixes computed
+    once."""
     lay, cb = geo.layout, geo.layout.c_beta_sq
     bounds = geo.kappa_s_unit is not None
     if bounds:
@@ -446,8 +448,10 @@ def _evaluate(geo: _Geometry, p_totals):
         rate = _log2p(
             p_user * geo.own_gain / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + 1.0)
         )
-        aligned = _log2p(p_user * cb / (p_earlier * cb + lay.finv_diag[lay.cluster_of]))
-        out = {"rho": geo.rho, "rate_exact": rate, "rate_gap": aligned - rate}
+        out = {"rho": geo.rho, "rate_exact": rate}
+        if gap:
+            aligned = _log2p(p_user * cb / (p_earlier * cb + lay.finv_diag[lay.cluster_of]))
+            out["rate_gap"] = aligned - rate
         if bounds:
             kappa_s = p_total * kappa_s_unit
             zeta_intra = p_earlier * rho_sq * cb
@@ -812,7 +816,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         for lens, geos in _map_blocks(one_block, max(counts), workers):
             for v, (view, geo) in enumerate(zip(views, geos)):
                 # one SNR's fields at a time: memory stays that of one view
-                cell_fields = _evaluate(geo, [p_total for _, p_total in view.cells])
+                cell_fields = _evaluate(geo, [p for _, p in view.cells], spec.baselines.hb_gap)
                 _reduce(accs[d, v], cell_fields, geo.rho, geo.excluded == 0, lens)
 
     cells: list[ResultCell] = []

@@ -346,11 +346,12 @@ def test_figure_fig5_special_schema(tmp_path):
 
 
 def test_figure_fig5_runs_without_the_bounds_its_table_does_not_read(tmp_path, monkeypatch):
-    # the sum-rate table reads rate_exact alone; the dumped config keeps the preset's bounds
+    # the sum-rate table reads rate_exact alone; the dumped config keeps the preset's bounds and gap
     want = tmp_path / "want.csv"
     write_sum_rate_csv(run_experiment(dataclasses.replace(preset("fig5"), trials=3)), str(want))
 
     view, views = montecarlo._view, []
+    evaluate, snrs = montecarlo._evaluate, []
 
     def no_bounds(*args, **kwargs):
         geo = view(*args, **kwargs)
@@ -358,14 +359,22 @@ def test_figure_fig5_runs_without_the_bounds_its_table_does_not_read(tmp_path, m
         views.append(geo)
         return geo
 
+    def no_gap(*args, **kwargs):
+        for fields in evaluate(*args, **kwargs):
+            assert "rate_gap" not in fields, "figure fig5 computed the rate gap"
+            snrs.append(fields)
+            yield fields
+
     monkeypatch.setattr(montecarlo, "_view", no_bounds)
+    monkeypatch.setattr(montecarlo, "_evaluate", no_gap)
     out, dump = tmp_path / "fig5.csv", tmp_path / "fig5.json"
     argv = ["figure", "fig5", "--trials", "3", "--out", str(out), "--dump-config", str(dump)]
     assert main(argv) == 0
-    assert views and out.read_bytes() == want.read_bytes()
-    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-    assert manifest["config"]["baselines"]["hb_lb"] is False
-    assert json.loads(dump.read_text())["baselines"]["hb_lb"] is True
+    assert views and snrs and out.read_bytes() == want.read_bytes()
+    run = json.loads(Path(f"{out}.manifest.json").read_text())["config"]["baselines"]
+    assert run["hb_lb"] is run["hb_gap"] is False
+    dumped = json.loads(dump.read_text())["baselines"]
+    assert dumped["hb_lb"] is dumped["hb_gap"] is True
 
 
 def test_figure_standard_schema(tmp_path):
@@ -423,18 +432,22 @@ def test_run_rejects_repeated_sweep_value(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_without_bounds_leaves_bound_columns_empty(tmp_path):
-    tables = {}
-    for hb_lb in (True, False):
-        cfg = write_config(tmp_path, dict(VALID_CONFIG, baselines={"hb_lb": hb_lb}))
-        out = str(tmp_path / f"lb_{hb_lb}.csv")
+@pytest.mark.parametrize("hb_gap", [True, False], ids=["gap", "no_gap"])
+@pytest.mark.parametrize("hb_lb", [True, False], ids=["lb", "no_lb"])
+def test_run_without_bounds_leaves_bound_columns_empty(tmp_path, hb_lb, hb_gap):
+    # hb_lb: false empties the three bound columns alone (rate_gap stays), hb_gap: false rate_gap
+    tables = []
+    for name, baselines in (("default", {}), ("skipped", {"hb_lb": hb_lb, "hb_gap": hb_gap})):
+        cfg = write_config(tmp_path, dict(VALID_CONFIG, baselines=baselines), f"{name}.json")
+        out = str(tmp_path / f"{name}.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 0
         with open(out, newline="") as fh:
-            tables[hb_lb] = list(csv.DictReader(fh))
-    assert len(tables[False]) == len(tables[True]) == 2 * 4
-    for with_lb, without in zip(tables[True], tables[False]):
-        assert with_lb["rate_lb_thm1"] != ""
-        for col in ("rate_lb_thm1", "rate_lb_thm2", "gap_ub_thm3"):
-            assert without[col] == ""
-        for col in ("rate_exact", "rate_gap", "rho_mean", "stderr", "trials"):
-            assert without[col] == with_lb[col]
+            tables.append(list(csv.DictReader(fh)))
+    default, skipped = tables
+    empty = {"rate_lb_thm1", "rate_lb_thm2", "gap_ub_thm3"} if not hb_lb else set()
+    empty |= {"rate_gap"} if not hb_gap else set()
+    assert len(default) == len(skipped) == 2 * 4
+    for want, got in zip(default, skipped):
+        assert want["rate_lb_thm1"] != "" and want["rate_gap"] != ""
+        for col in CSV_COLUMNS:
+            assert got[col] == ("" if col in empty else want[col]), col

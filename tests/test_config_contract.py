@@ -99,14 +99,13 @@ def configs(draw):
     }
     if name == "cluster_size":  # the only sweep that reads it
         doc["observe_cluster"] = draw(st.integers(1, n_clusters))
+    flags = ("hb_lb", "hb_gap", "fd", "oma", "model_channels")
     optional = {
         "misalign_grid": st.one_of(
             st.none(),
             st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=1, max_size=3, unique=True),
         ),
-        "baselines": st.fixed_dictionaries(
-            {}, optional={k: st.booleans() for k in ("hb_lb", "fd", "oma", "model_channels")}
-        ),
+        "baselines": st.fixed_dictionaries({}, optional=dict.fromkeys(flags, st.booleans())),
     }
     for key, strategy in optional.items():
         if key not in doc and draw(st.booleans()):

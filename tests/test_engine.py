@@ -358,6 +358,17 @@ def test_cluster_spec_normalises_to_floats():
     )
 
 
+def test_a_config_is_hashed_once_when_built():
+    # the layout and user-key caches look a config up on every call: they read the hash stored
+    # when it was built, not a rehash of every gains_db tuple
+    cluster = ClusterSpec(10.0, (0.0, -1.0))
+    cfg = _with_first_cluster(FIG4A, cluster)
+    built = hash(cluster), hash(cfg)
+    object.__setattr__(cluster, "gains_db", (5.0,))
+    object.__setattr__(cfg, "n_bs", 64)
+    assert (hash(cluster), hash(cfg)) == built
+
+
 def test_equal_configs_share_one_cached_layout():
     twin = ScenarioConfig(
         clusters=tuple(ClusterSpec(c.aod_deg, list(c.gains_db)) for c in FIG4A.clusters),

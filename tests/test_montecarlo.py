@@ -220,8 +220,8 @@ def test_each_block_is_drawn_viewed_and_evaluated_once_for_the_whole_grid(
 
     evaluate = montecarlo._evaluate
 
-    def counted_evaluate(geo, p_totals):  # one count per SNR's fields
-        for fields in evaluate(geo, p_totals):
+    def counted_evaluate(geo, p_totals, *args):  # one count per SNR's fields
+        for fields in evaluate(geo, p_totals, *args):
             calls.append("_evaluate")
             yield fields
 

@@ -85,3 +85,16 @@ def test_config_diff_finds_a_tree_agrees_with_itself(tmp_path):
     assert run.returncode == 1
     assert int(run.stdout.split("disagreements: ")[1].split()[0]) >= accepted
     assert "new: rejected trials must be >= 1, got 4" in run.stdout  # the message kept its text
+    # against a tree without hb_gap, the bases leave it out and its default differs in nothing
+    old = tmp_path / "old"
+    shutil.copytree(Path(src) / "hbnoma", old / "hbnoma")
+    montecarlo = old / "hbnoma" / "montecarlo.py"
+    text = montecarlo.read_text()
+    assert text.count("    hb_gap: bool = True") == 1
+    montecarlo.write_text(text.replace("    hb_gap: bool = True", "", 1))
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "config_diff.py"), str(old), src, "300"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert "disagreements: 0" in run.stdout
+    assert int(run.stdout.split("equal specs: ")[1].split()[0]) > 30
