@@ -6,7 +6,9 @@ directory. Default trial counts match the presets (10^4); pass --trials for
 a fast smoke run, e.g. `python3 scripts/make_figures.py --trials 500`.
 Each preset's line gives its seconds and the minor page faults of its run
 (the ru_minflt delta of this process: pages it touched for the first time,
-which also depends on the presets run before it).
+which also depends on the presets run before it). A last line gives the
+process's peak resident set size (ru_maxrss), which counts the buffers and
+caches that outlive a run.
 """
 
 import argparse
@@ -45,6 +47,8 @@ def run(argv=None) -> int:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         print(f"{name}: wrote {out_dir / (name + '.csv')} in {time.perf_counter() - t0:.1f}s, "
               f"{faults} minor page faults")
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(f"peak RSS {peak_kib / 1024:.1f} MiB (ru_maxrss)")
     return 0
 
 

@@ -83,13 +83,16 @@ class ScenarioConfig:
     __hash__ = _stored_hash
 
 
-def _reduced_ratio(delta: np.ndarray, n_elements: int, out: np.ndarray) -> tuple | None:
+def _reduced_ratio(
+    delta: np.ndarray, n_elements: int, out: np.ndarray, denom: np.ndarray | None = None
+) -> tuple | None:
     """Turn float64 delta, in place, into pi r / 2 of the exact split delta = 2 k + r, |r| <= 1.
 
     Writes the ratio sin(n pi r / 2) / (n sin(pi r / 2)) into out, which may be delta itself,
     and returns (wrapped, k): the mask of |delta| > 1 and k there, or None if no |delta| > 1.
     Elsewhere k = round(delta / 2) is +-0, so r is delta (up to a zero's sign, which the
-    ratio's 1 at r = 0 hides).
+    ratio's 1 at r = 0 hides). The denominator is computed in denom, an array of delta's shape,
+    or in a new one if None.
     """
     split = None
     if delta.max(initial=0.0) > 1.0 or delta.min(initial=0.0) < -1.0:
@@ -97,7 +100,7 @@ def _reduced_ratio(delta: np.ndarray, n_elements: int, out: np.ndarray) -> tuple
         split = wrapped, np.round(0.5 * delta[wrapped])
         delta[wrapped] -= 2.0 * split[1]
     delta *= 0.5 * math.pi
-    denom = np.sin(delta)  # the one block-sized temporary
+    denom = np.sin(delta, out=denom)  # the one block-sized temporary, unless denom is given
     aligned = denom == 0.0
     denom[aligned] = 1.0
     denom *= n_elements
@@ -126,15 +129,16 @@ def dirichlet_kernel(delta, n_elements: int) -> np.ndarray:
     return out
 
 
-def centred_kernel(delta, n_elements: int) -> np.ndarray:
+def centred_kernel(delta, n_elements: int, denom: np.ndarray | None = None) -> np.ndarray:
     """Real g(delta) = sin(n pi delta / 2) / (n sin(pi delta / 2)): the kernel of the centred array.
 
     a^H(phi) a(phi + delta) = psi(phi + delta) conj(psi(phi)) g(delta), psi(phi) =
     exp(-j pi (n-1) phi / 2); g = (-1)^((n-1) k) ratio with k, ratio of _reduced_ratio(delta).
-    Computed in delta's buffer: a float64 array delta is overwritten with g and returned.
+    Computed in delta's buffer: a float64 array delta is overwritten with g and returned. denom,
+    if given, is the float64 buffer of delta's shape that the ratio's denominator takes.
     """
     g = np.atleast_1d(np.asarray(delta, dtype=np.float64))
-    split = _reduced_ratio(g, n_elements, g)
+    split = _reduced_ratio(g, n_elements, g, denom)
     if split is not None and n_elements % 2 == 0:  # k is odd where round(k / 2) != k / 2
         wrapped, k = split
         k *= 0.5
@@ -250,12 +254,17 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _user_keys(clusters: tuple[ClusterSpec, ...]) -> tuple[np.ndarray, ...]:
-    """0-based (cluster, user), base AoD and anchor mask of every user, in flat order."""
+    """0-based (cluster, user), base AoD and anchor mask of every user, in flat order, then
+    (cluster, user) again as the uint64 keys of counter_uniform."""
     sizes = [len(c.gains_db) for c in clusters]
     cluster = np.repeat(np.arange(len(clusters)), sizes)
     user = np.arange(len(cluster)) - np.cumsum([0] + sizes[:-1], dtype=np.int64)[cluster]
     first = np.array([first_user_index(c.gains_db) for c in clusters], dtype=np.int64)
-    return cluster, user, np.repeat([c.aod_deg for c in clusters], sizes), user == first[cluster]
+    keys = (cluster, user, np.repeat([c.aod_deg for c in clusters], sizes), user == first[cluster])
+    keys += (cluster.astype(np.uint64), user.astype(np.uint64))
+    for array in keys:
+        array.flags.writeable = False
+    return keys
 
 
 def user_angles(cfg: ScenarioConfig, seed: int, trials, spread=None) -> tuple[np.ndarray, ...]:
@@ -268,7 +277,7 @@ def user_angles(cfg: ScenarioConfig, seed: int, trials, spread=None) -> tuple[np
     u = counter_uniform(seed, trial, cluster, user) does not depend on b:
     b is cfg.misalign_deg, or spread[r] for row r when spread is given.
     """
-    cluster, user, base, anchor = _user_keys(cfg.clusters)
+    _, _, base, anchor, cluster, user = _user_keys(cfg.clusters)
     trials = np.asarray(trials, dtype=np.uint64).reshape(-1, 1)
     b = np.reshape(cfg.misalign_deg if spread is None else spread, (-1, 1))
     if not b.any():

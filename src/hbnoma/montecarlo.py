@@ -16,11 +16,15 @@ the power split; an SNR sweep shares one view, as every per-user quantity is
 linear in the total power. Each b's rows feed its own cells, which merge the
 blocks of a run of that b alone in trial order: the output is bit-identical
 for any worker count.
+
+The block-sized buffers of both stages come from a pool that each thread keeps
+across blocks and calls (_scratch).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -52,6 +56,9 @@ CHUNK = 64
 # floats in a (rows, users, clusters) block, 128 MiB as float64; the largest preset blocks are
 # fig5's 64 x 3 rows x 88 users x 8 clusters (135,168) and fig4c's 64 x 3 x 95 x 5 (91,200)
 BLOCK_BUDGET = 2**24
+# floats of a block buffer that a thread keeps for its next block (2 MiB as float64); the
+# preset blocks fit (fig5's largest, 129 rows x 88 users x 8 clusters, is 90,816 floats)
+POOL_CAP = 2**18
 CONDITION_CAP = 1e10  # a Gram matrix with a larger condition number is singular
 LEAK_NORM_FLOOR = 1e-12  # below this the leakage combination has no direction
 SWEEP_NAMES = ("snr_db", "n_bs", "cluster_size")
@@ -199,19 +206,20 @@ class _Layout:
     own_beam: np.ndarray  # (U,) flat index of each user's own beam in a (U, N) array
     starts: np.ndarray  # (N,) flat index of each cluster's first user
     sizes: np.ndarray  # (N,) users per cluster
+    own_size: np.ndarray  # (U,) users in each user's cluster
     beta_sq: np.ndarray  # (U,) |beta|^2
     c_beta_sq: np.ndarray  # (U,) N_BS N_U |beta|^2
     others: np.ndarray  # (N, N - 1) others[s] lists the clusters but s, ascending
     gram: np.ndarray  # (N, N) G[k, n] = a_k^H a_n of the analog beams
     singular: np.ndarray  # () G's condition number exceeds CONDITION_CAP
     kappa_min: np.ndarray  # () G's smallest eigenvalue; 1.0 when singular
-    finv_diag: np.ndarray  # (N,) diagonal of G^{-1}
+    own_finv: np.ndarray  # (U,) [G^{-1}]_nn of each user's cluster n
     f_bb: np.ndarray  # (N, N) zero-forcing G^{-1} diag(1 / sqrt([G^{-1}]_nn))
     r_gram: np.ndarray  # (N, N) real R with F_BB^H F_BB = Psi R Psi^H (see _view)
     gram_c: np.ndarray  # (N, N) real G_c[m, n] = g(phi_n - phi_m), G = Psi G_c Psi^H (see _draw)
     f_c: np.ndarray  # (N, N) real F_c = G_c^{-1} diag(1 / sqrt([G^{-1}]_nn)), F_BB = Psi F_c Psi^H
-    k_anchor: np.ndarray  # (N,) ||K||^2 of each anchor's kernel row
-    unit_gains: np.ndarray  # (N, N) |K F_BB^*|^2 of each anchor's kernel row
+    own_k_anchor: np.ndarray  # (U,) ||K||^2 of each user's anchor's kernel row
+    own_unit_gains: np.ndarray  # (U, N) |K F_BB^*|^2 of each user's anchor's kernel row
     zeta_peak: np.ndarray  # () bound of two Thm 2 zetas at unit power: ||K_u||^2 <= N,
     # |K_u F_BB^*|^2 <= N F and kappa_max(S) <= F for F = max_n ||F_BB[:, n]||^2 >= 1 (see _power)
 
@@ -222,7 +230,7 @@ class _Layout:
 
         ConfigError if the largest gain or cfg's own power overflows the engine (see _power).
         """
-        cluster_of, user, _, is_anchor = _user_keys(cfg.clusters)
+        cluster_of, user, _, is_anchor, _, _ = _user_keys(cfg.clusters)
         n = len(cfg.clusters)
         sizes = np.bincount(cluster_of, minlength=n)
         anchors = np.flatnonzero(is_anchor)
@@ -252,19 +260,20 @@ class _Layout:
             own_beam=np.arange(len(cluster_of)) * n + cluster_of,
             starts=np.concatenate(([0], np.cumsum(sizes)[:-1])),
             sizes=sizes,
+            own_size=sizes[cluster_of],
             beta_sq=beta_sq,
             c_beta_sq=float(cfg.n_bs * cfg.n_ue) * beta_sq,
             others=np.array([np.delete(np.arange(n), s) for s in range(n)]).reshape(n, n - 1),
             gram=gram,
             singular=np.array(singular),
             kappa_min=np.array(kappa_min),
-            finv_diag=finv_diag,
+            own_finv=finv_diag[cluster_of],
             f_bb=f_bb,
             r_gram=(psi.conj()[:, None] * (f_bb.conj().T @ f_bb) * psi).real,
             gram_c=centred_kernel(phi - phi[:, None], cfg.n_bs),  # nearer G's bits than turning G
             f_c=(psi.conj()[:, None] * f_bb * psi).real,
-            k_anchor=_norm_sq(gram.T),  # the anchors' kernel rows are G's columns
-            unit_gains=np.abs(gram.T @ f_bb.conj()) ** 2,
+            own_k_anchor=_norm_sq(gram.T)[cluster_of],  # the anchors' kernel rows are G's columns
+            own_unit_gains=(np.abs(gram.T @ f_bb.conj()) ** 2)[cluster_of],
             zeta_peak=np.array(zeta_peak),
         )
         for array in vars(lay).values():
@@ -299,6 +308,25 @@ class _Draw:
     beam_gains: np.ndarray  # (T, U, N) |h^H F_BB|^2 of the kernel-row channels
 
 
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of shape for the block buffer name.
+
+    It is the calling thread's kept buffer of that name, grown as needed and kept until the
+    thread ends, unless shape holds over POOL_CAP floats: then it is a new array.
+    """
+    size = math.prod(shape)
+    if size > POOL_CAP:
+        return np.empty(shape)
+    kept = vars(_pool)
+    buffer = kept.get(name)
+    if buffer is None or len(buffer) < size:
+        buffer = kept[name] = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
+_pool = threading.local()  # each thread's kept block buffers, by name (see _scratch)
+
+
 def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> _Draw:
     """Draw stage: synthesize a block of draws and pass it through lay's precoder.
 
@@ -314,22 +342,28 @@ def _draw(cfg: ScenarioConfig, lay: _Layout, seed: int, trials, spread=None) -> 
     whole stage: its rows are rows of these.
 
     Two (T, U, N) arrays live at once: g, computed in its angle differences'
-    buffer, and the products with G_c and then F_c, written one over the other.
+    buffer, and the kernel's denominator, then in its buffer the products
+    with G_c and then F_c, written one over the other. Both are _scratch
+    buffers, "kernel" and "gains": the returned beam gains live until the
+    thread's next block.
     """
     trials = np.asarray(trials, dtype=np.int64)
     _, phi = user_angles(cfg, seed, trials, spread)
-    g = centred_kernel(phi[:, :, None] - phi[:, None, lay.anchors], cfg.n_bs)
+    shape = (len(trials), len(lay.cluster_of), len(lay.anchors))
+    delta = _scratch("kernel", shape)
+    np.subtract(phi[:, :, None], phi[:, None, lay.anchors], out=delta)
+    g = centred_kernel(delta, cfg.n_bs, _scratch("gains", shape))
     aligned = phi == phi[:, lay.own_anchor]
-    k_user = np.where(aligned, lay.k_anchor[lay.cluster_of], np.einsum("tun,tun->tu", g, g))
+    k_user = np.where(aligned, lay.own_k_anchor, np.einsum("tun,tun->tu", g, g))
     # rho: |<K_anchor, K_u>| over the norms; column n of G_c is anchor n's g row
-    gains = g @ lay.gram_c
+    gains = np.matmul(g, lay.gram_c, out=_scratch("gains", shape))
     cross = gains.reshape(len(trials), -1)[:, lay.own_beam]  # a copy: gains is reused below
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.minimum(np.abs(cross) / np.sqrt(k_user * k_user[:, lay.own_anchor]), 1.0)
     rho[aligned] = 1.0
     np.matmul(g, lay.f_c, out=gains)
     np.square(gains, out=gains)
-    np.copyto(gains, lay.unit_gains[lay.cluster_of], where=aligned[:, :, None])
+    np.copyto(gains, lay.own_unit_gains, where=aligned[:, :, None])
     gains *= lay.c_beta_sq[:, None]
     return _Draw(k_user, rho, gains)
 
@@ -340,19 +374,24 @@ def _view(draw: _Draw, lay: _Layout, users, model_channels: bool, bounds: bool =
     users indexes the configuration's users (laid out as lay) among the
     draw's, slice(None) when they are all of them. The view gathers their
     rows of the draw and computes the modeled channels, shares, decode
-    positions, the kappa_max(S) stack and the exclusions.
+    positions, the kappa_max(S) stack and the exclusions. Its (T, U, N)
+    temporaries are _scratch buffers: the gathered beam gains, and the
+    share-weighted ones in the draw's "kernel" buffer, which the draw no
+    longer reads. No field of the returned geometry is one.
     """
     n = len(lay.anchors)
     if model_channels and n < 2:
         raise ConfigError(_ONE_CLUSTER)
-    arrays = draw.k_user, draw.rho, draw.beam_gains
     if isinstance(users, slice):
-        k_user, rho, beam_gains = (a[:, users] for a in arrays)
+        k_user, rho, beam_gains = (a[:, users] for a in (draw.k_user, draw.rho, draw.beam_gains))
     else:  # np.take gathers in C order, so _reduce sums each field's rows one by one
-        k_user, rho, beam_gains = (np.take(a, users, axis=1) for a in arrays)
+        k_user, rho = np.take(draw.k_user, users, axis=1), np.take(draw.rho, users, axis=1)
+        gathered = _scratch("gathered", (len(k_user), len(users), n))
+        # with out, mode="raise" would gather into a temporary first
+        beam_gains = np.take(draw.beam_gains, users, axis=1, out=gathered, mode="clip")
     norms = raw_norms = lay.c_beta_sq * k_user
     degenerate = ~np.all(raw_norms > 0.0, axis=1)
-    leak_collapsed = np.zeros(len(k_user), dtype=bool)
+    excluded = degenerate * _SCENARIO
     if model_channels:
         raw_sums = np.add.reduceat(raw_norms, lay.starts, axis=1)
         raw_shares = raw_sums / raw_sums.sum(axis=1, keepdims=True)
@@ -362,6 +401,7 @@ def _view(draw: _Draw, lay: _Layout, users, model_channels: bool, bounds: bool =
         leak = others @ lay.gram.T
         leak_norm = np.linalg.norm(leak, axis=2)
         leak_collapsed = np.any(leak_norm < LEAK_NORM_FLOOR, axis=1)
+        excluded = np.maximum(excluded, leak_collapsed * _SUBSPACE)  # a degenerate draw's code wins
         leak = leak / np.where(leak_collapsed[:, None], 1.0, leak_norm)[:, :, None]
         anchor_hat = lay.gram.T / np.linalg.norm(lay.gram.T, axis=1, keepdims=True)
         chan = np.sqrt(k_user)[:, :, None] * (
@@ -376,7 +416,8 @@ def _view(draw: _Draw, lay: _Layout, users, model_channels: bool, bounds: bool =
     sums = np.add.reduceat(norms, lay.starts, axis=1)
     with np.errstate(invalid="ignore"):  # 0/0 only on a draw excluded as degenerate
         share_cluster = sums / sums.sum(axis=1, keepdims=True)
-    share_user = share_cluster[:, lay.cluster_of] / lay.sizes[lay.cluster_of]
+    share_own = share_cluster[:, lay.cluster_of]
+    share_user = share_own / lay.own_size
     # decode order: strongest effective norm first inside each cluster, ties
     # by index; sorting by cluster first leaves each cluster's slots in place,
     # so the k-th slot of a cluster is decode position k. numpy sorts complex
@@ -386,10 +427,9 @@ def _view(draw: _Draw, lay: _Layout, users, model_channels: bool, bounds: bool =
     position[np.arange(len(order))[:, None], order] = lay.user
 
     own_gain = beam_gains.reshape(len(beam_gains), -1)[:, lay.own_beam]
-    inter_gain_unit = (
-        np.sum(beam_gains * share_cluster[:, None, :], axis=2)
-        - share_cluster[:, lay.cluster_of] * own_gain
-    )
+    product = _scratch("kernel", beam_gains.shape)  # the share-weighted beam gains
+    np.multiply(beam_gains, share_cluster[:, None, :], out=product)
+    inter_gain_unit = np.sum(product, axis=2) - share_own * own_gain
     del beam_gains  # done with the (T, U, N) rows: drop them before the eigen stack
     kappa_s_unit = None
     if bounds:
@@ -400,8 +440,8 @@ def _view(draw: _Draw, lay: _Layout, users, model_channels: bool, bounds: bool =
         subs = weighted[:, lay.others[:, :, None], lay.others[:, None, :]]  # (T, N, N-1, N-1)
         kappa_s_unit = np.linalg.eigvalsh(subs)[..., -1] if n > 1 else np.zeros((len(subs), 1))
 
-    excluded = np.where(degenerate, _SCENARIO, np.where(leak_collapsed, _SUBSPACE, 0))
-    excluded = np.where(lay.singular, _SINGULAR, excluded)
+    if lay.singular:  # every draw of a singular configuration is excluded as such
+        excluded = np.full(len(k_user), _SINGULAR)
     return _Geometry(
         layout=lay,
         excluded=excluded,
@@ -450,7 +490,7 @@ def _evaluate(geo: _Geometry, p_totals, gap: bool = True):
         )
         out = {"rho": geo.rho, "rate_exact": rate}
         if gap:
-            aligned = _log2p(p_user * cb / (p_earlier * cb + lay.finv_diag[lay.cluster_of]))
+            aligned = _log2p(p_user * cb / (p_earlier * cb + lay.own_finv))
             out["rate_gap"] = aligned - rate
         if bounds:
             kappa_s = p_total * kappa_s_unit
@@ -459,7 +499,8 @@ def _evaluate(geo: _Geometry, p_totals, gap: bool = True):
             with np.errstate(divide="ignore", invalid="ignore"):
                 num = miss * kappa_s + noise
                 den = rho_sq_kappa * p_earlier / k_first
-                gap_ub = np.where(den > 0.0, _log2p(num / np.where(den > 0.0, den, 1.0)), np.inf)
+                positive = den > 0.0
+                gap_ub = np.where(positive, _log2p(num / np.where(positive, den, 1.0)), np.inf)
             out.update(
                 rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + 1.0 / lay.kappa_min)),
                 rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),

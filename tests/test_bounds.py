@@ -181,19 +181,20 @@ def test_user_bounds_wires_scalars_together():
         own_beam=np.zeros(1, dtype=np.int64),
         starts=np.zeros(1, dtype=np.int64),
         sizes=one.astype(np.int64),
+        own_size=one.astype(np.int64),
         beta_sq=one,
         c_beta_sq=100.0 * one,
         others=np.zeros((1, 0), dtype=np.int64),
         gram=np.ones((1, 1)),
         singular=False,
         kappa_min=0.8,
-        finv_diag=one,
+        own_finv=one,
         f_bb=np.ones((1, 1)),
         r_gram=np.ones((1, 1)),
         gram_c=np.ones((1, 1)),
         f_c=np.ones((1, 1)),
-        k_anchor=one,
-        unit_gains=np.ones((1, 1)),
+        own_k_anchor=one,
+        own_unit_gains=np.ones((1, 1)),
         zeta_peak=np.array(250.0),
     )
     row = np.ones((1, 1))

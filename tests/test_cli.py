@@ -297,6 +297,7 @@ def test_a_cli_run_sets_up_once(tmp_path, monkeypatch):
         (["run", "--config", cfg], 1),
         (["run", "--config", cfg, "--trials", "2"], 1),
         (["run", "--config", cfg, "--seed", "3"], 1),
+        (["figure", "fig5", "--trials", "2"], 1),
     ):
         calls.clear()
         assert main([*argv, "--out", out]) == 0

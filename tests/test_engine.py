@@ -391,12 +391,12 @@ def test_equal_configs_share_one_cached_layout():
 def _real_draw_rows(g, phi, lay):
     """k_user, rho, the beam gains and their own-beam column from the centred-kernel rows g."""
     aligned = phi == phi[:, lay.own_anchor]
-    k_user = np.where(aligned, lay.k_anchor[lay.cluster_of], np.einsum("tun,tun->tu", g, g))
+    k_user = np.where(aligned, lay.own_k_anchor, np.einsum("tun,tun->tu", g, g))
     cross = np.take_along_axis(g @ lay.gram_c, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
     k_anchor = k_user[:, lay.anchors][:, lay.cluster_of]
     rho = np.where(aligned, 1.0, np.minimum(np.abs(cross) / np.sqrt(k_user * k_anchor), 1.0))
     gains = (g @ lay.f_c) ** 2
-    np.copyto(gains, lay.unit_gains[lay.cluster_of], where=aligned[:, :, None])
+    np.copyto(gains, lay.own_unit_gains, where=aligned[:, :, None])
     gains *= lay.c_beta_sq[:, None]
     own_gain = np.take_along_axis(gains, lay.cluster_of[None, :, None], axis=2)[:, :, 0]
     return k_user, rho, gains, own_gain
@@ -535,7 +535,7 @@ def test_precoder_of_the_layout_is_every_trials_precoder(name, b):
     assert not lay.singular and np.all(eigs[:, 0] == lay.kappa_min)
     for t in range(CHUNK):
         np.testing.assert_array_equal(lay.gram, gram[t])
-        np.testing.assert_array_equal(lay.finv_diag, finv_diag[t])
+        np.testing.assert_array_equal(lay.own_finv, finv_diag[t][lay.cluster_of])
         np.testing.assert_array_equal(lay.f_bb, f_bb[t])
     psi = np.exp(0.5j * np.pi * (cfg.n_bs - 1) * phi[:, lay.anchors])
     rotated = psi.conj()[:, :, None] * (f_bb.conj().transpose(0, 2, 1) @ f_bb) * psi[:, None, :]
