@@ -11,10 +11,11 @@ or entry added, or a value set to one such as null, true, 8.0, "", [],
 `validate_spec`, as `hbnoma validate` does. The trees agree on a config when
 both accept it with equal specs (compared as their `spec_to_config` forms),
 or both reject it with a ConfigError naming the same field. The base
-configs hold every field of the format that OLD_SRC knows: a field only
-NEW_SRC has is left at its default, and its key in NEW_SRC's spec does not
-count as a difference. The script prints both counts and every
-disagreement, and exits 1 if there is one.
+configs hold every field of this tree's format that OLD_SRC knows, so a
+field only one tree has is left at its default, and its key in that tree's
+spec does not count as a difference. A deleted field's key is among those a
+mutation adds. The script prints both counts and every disagreement, and
+exits 1 if there is one.
 
 No config is drawn whose `cluster_size` sweep holds a value above
 MAX_CLUSTER_SIZE: a tree without a size budget builds a gain tuple that
@@ -40,7 +41,7 @@ VALUES = (
 )
 _CLUSTERS = [{"aod_deg": -30.0, "gains_db": [0.0, -3.0]}, {"aod_deg": 30.0, "gains_db": [0.0]}]
 _SCENARIO = {"clusters": _CLUSTERS, "n_bs": 32, "n_ue": 8, "misalign_deg": 2.0, "snr_db": 10.0}
-_BASELINES = {"hb_lb": True, "hb_gap": True, "fd": True, "oma": False, "model_channels": False}
+_BASELINES = {"hb_lb": True, "fd": True, "oma": False, "model_channels": False}
 # every key of the format, so that deleting one falls back to its default
 _BASE = {"scenario_id": "diff", "scenario": _SCENARIO, "trials": 4, "seed": 3,
          "baselines": _BASELINES}
@@ -77,7 +78,7 @@ def _mutate(doc, rng: random.Random) -> str:
         path = rng.choice([p for p in paths if isinstance(_at(doc, p), (dict, list))])
         target, value = _at(doc, path), rng.choice(VALUES)
         if isinstance(target, dict):
-            key = rng.choice(("extra", "noise_var", "n_rf", "hb_exact"))
+            key = rng.choice(("extra", "noise_var", "n_rf", "hb_exact", "hb_gap"))
             target[key] = copy.deepcopy(value)
             return f"add {_name(path + (key,))} = {value!r}"
         target.append(copy.deepcopy(value))
@@ -108,7 +109,9 @@ def _known_to(tree, doc) -> dict:
 
 
 def _shared(new, old):
-    """new, a spec's config form, without the object keys that old's lacks, at any depth."""
+    """new, a spec's config form, without the object keys that old's lacks, at any depth.
+
+    Either form can be new: a field one tree deleted is as absent as one the other added."""
     if isinstance(new, dict) and isinstance(old, dict):
         return {key: _shared(value, old[key]) for key, value in new.items() if key in old}
     if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
@@ -177,7 +180,8 @@ def main(argv=None) -> int:
             for _ in range(count):
                 doc, change = _config(rng, bases)
                 old, new = (_outcome(tree, doc) for tree in trees)
-                if old[0] == new[0] and old[0] in tally and old[1] == _shared(new[1], old[1]):
+                same = _shared(old[1], new[1]) == _shared(new[1], old[1])
+                if old[0] == new[0] and old[0] in tally and same:
                     tally[old[0]] += 1
                 else:
                     disagreements.append((change, old, new))

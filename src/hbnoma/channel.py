@@ -15,7 +15,7 @@ every draw is independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -28,15 +28,6 @@ CACHE_SIZE = 64  # configurations whose per-configuration arrays are kept
 _type_hints = lru_cache(maxsize=None)(get_type_hints)  # evaluating annotations takes 0.2 ms
 
 
-def _store_hash(obj) -> None:
-    """Hash the built frozen dataclass obj's fields once, for the configuration caches' lookups."""
-    object.__setattr__(obj, "_hash", hash(tuple(getattr(obj, f.name) for f in fields(obj))))
-
-
-def _stored_hash(obj) -> int:
-    return obj._hash
-
-
 @dataclass(frozen=True)
 class ClusterSpec:
     """One cluster: beam AoD and per-user gains in dB, held as floats so equal ones hash equal."""
@@ -46,9 +37,6 @@ class ClusterSpec:
 
     def __post_init__(self):
         _check_fields(self)
-        _store_hash(self)
-
-    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True)
@@ -78,9 +66,6 @@ class ScenarioConfig:
                 raise ConfigError(f"cluster {idx} AoD {cluster.aod_deg} deg outside (-90, 90)")
         _db_to_linear(max(max(cluster.gains_db) for cluster in self.clusters), "gains_db entry")
         _db_to_linear(self.snr_db, "snr_db")
-        _store_hash(self)
-
-    __hash__ = _stored_hash
 
 
 def _reduced_ratio(

@@ -99,14 +99,9 @@ def config_to_spec(doc: dict) -> ExperimentSpec:
     return _built(ExperimentSpec, kw, "")
 
 
-def _field_values(obj) -> dict:
-    """A dataclass's fields by name: its vars but a configuration's stored hash."""
-    return {name: value for name, value in vars(obj).items() if name != "_hash"}
-
-
 def spec_to_config(spec: ExperimentSpec) -> dict:
     """Full JSON form of a spec; config_to_spec(spec_to_config(s)) == s."""
-    doc = json.loads(json.dumps(spec, default=_field_values))
+    doc = json.loads(json.dumps(spec, default=vars))
     doc["sweep"] = {"name": doc.pop("sweep_name"), "values": doc.pop("sweep_values")}
     return doc
 
@@ -237,8 +232,8 @@ def _cmd_figure(args) -> int:
     if args.out is None:
         raise ConfigError("figure needs --out (or --dump-config to only export the config)")
     write = write_table_csv
-    if args.name == "fig5":  # the sum-rate table reads rate_exact alone: no bounds, no gap
-        spec = replace(spec, baselines=replace(spec.baselines, hb_lb=False, hb_gap=False))
+    if args.name == "fig5":  # the sum-rate table reads rate_exact alone: no analysis columns
+        spec = replace(spec, baselines=replace(spec.baselines, hb_lb=False))
         write = write_sum_rate_csv
     _run_and_write(spec, args, write, f"figure {args.name}")
     print(f"wrote {args.out}")

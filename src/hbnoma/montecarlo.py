@@ -70,8 +70,7 @@ _OVERFLOW = "P N_BS N_UE |beta|^2 times the beam gains overflows a float"
 class Baselines:
     """Which curves an experiment produces besides the hybrid exact rates."""
 
-    hb_lb: bool = True  # the Thm 1/2 rate bounds and the Thm 3 gap bound
-    hb_gap: bool = True  # the hybrid rate gap to the perfectly aligned system (rate_gap)
+    hb_lb: bool = True  # the Thm 1/2 rate bounds, the rate gap to the aligned system, Thm 3's bound
     fd: bool = False
     oma: bool = False
     model_channels: bool = False
@@ -466,9 +465,9 @@ def _log2p(x: np.ndarray) -> np.ndarray:
     return np.log1p(x) / LOG2
 
 
-def _evaluate(geo: _Geometry, p_totals, gap: bool = True):
-    """Yield per-user (T, U) fields at each SNR P of p_totals, sigma^2 = 1: exact rate, rate_gap
-    if gap and, if _view built geo's kappa_max(S) stack, bounds, their power-free prefixes computed
+def _evaluate(geo: _Geometry, p_totals):
+    """Yield per-user (T, U) fields at each SNR P of p_totals, sigma^2 = 1: exact rate and, if
+    _view built geo's kappa_max(S) stack, rate_gap and bounds, their power-free prefixes computed
     once."""
     lay, cb = geo.layout, geo.layout.c_beta_sq
     bounds = geo.kappa_s_unit is not None
@@ -489,10 +488,8 @@ def _evaluate(geo: _Geometry, p_totals, gap: bool = True):
             p_user * geo.own_gain / (p_earlier * geo.own_gain + p_total * geo.inter_gain_unit + 1.0)
         )
         out = {"rho": geo.rho, "rate_exact": rate}
-        if gap:
-            aligned = _log2p(p_user * cb / (p_earlier * cb + lay.own_finv))
-            out["rate_gap"] = aligned - rate
         if bounds:
+            aligned = _log2p(p_user * cb / (p_earlier * cb + lay.own_finv))
             kappa_s = p_total * kappa_s_unit
             zeta_intra = p_earlier * rho_sq * cb
             zeta_inter = miss_cb * kappa_s * k_first / lay.kappa_min
@@ -504,6 +501,7 @@ def _evaluate(geo: _Geometry, p_totals, gap: bool = True):
             out.update(
                 rate_lb_thm1=_log2p(p_user * cb / (p_earlier * cb + 1.0 / lay.kappa_min)),
                 rate_lb_thm2=_log2p(p_user * rho_sq * cb / (zeta_intra + zeta_inter + zeta_noise)),
+                rate_gap=aligned - rate,
                 gap_ub_thm3=gap_ub,
                 gap_ub_applicable=later & np.isfinite(gap_ub),
             )
@@ -559,8 +557,14 @@ def _metrics(cfg: ScenarioConfig, seed: int, trials, snr_db, model_channels: boo
     _check_seed(seed)
     if type(model_channels) is not bool:
         raise ConfigError(f"model_channels must be a bool, got {model_channels!r}")
+    try:
+        count = len(trials)
+    except TypeError:  # an int or a 0-d array: no block of trial indices
+        count = 0
+    if count < 1:
+        raise ConfigError(f"trials must hold >= 1 trial indices, got {trials!r}")
     lay = _Layout.of(cfg)
-    _check_block("trials", len(trials), len(lay.user), len(lay.anchors))
+    _check_block("trials", count, len(lay.user), len(lay.anchors))
     _check_trials(trials)
     p_total = _power(cfg, lay, snr_db)
     geo = _view(_draw(cfg, lay, seed, trials), lay, slice(None), model_channels)
@@ -835,6 +839,8 @@ def _draws(spec: ExperimentSpec) -> list[tuple[ScenarioConfig, _Layout, list[_Vi
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run the experiment; deterministic for fixed (spec, seed) at any worker count."""
     draws = _draws(spec)
+    if not _is_int(workers):
+        raise ConfigError(f"workers must be an int, got {workers!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = spec.misalign_grid if spec.misalign_grid is not None else (spec.scenario.misalign_deg,)
@@ -857,7 +863,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         for lens, geos in _map_blocks(one_block, max(counts), workers):
             for v, (view, geo) in enumerate(zip(views, geos)):
                 # one SNR's fields at a time: memory stays that of one view
-                cell_fields = _evaluate(geo, [p for _, p in view.cells], spec.baselines.hb_gap)
+                cell_fields = _evaluate(geo, [p for _, p in view.cells])
                 _reduce(accs[d, v], cell_fields, geo.rho, geo.excluded == 0, lens)
 
     cells: list[ResultCell] = []

@@ -347,7 +347,7 @@ def test_figure_fig5_special_schema(tmp_path):
 
 
 def test_figure_fig5_runs_without_the_bounds_its_table_does_not_read(tmp_path, monkeypatch):
-    # the sum-rate table reads rate_exact alone; the dumped config keeps the preset's bounds and gap
+    # the sum-rate table reads rate_exact alone; the dumped config keeps the preset's bounds
     want = tmp_path / "want.csv"
     write_sum_rate_csv(run_experiment(dataclasses.replace(preset("fig5"), trials=3)), str(want))
 
@@ -373,9 +373,9 @@ def test_figure_fig5_runs_without_the_bounds_its_table_does_not_read(tmp_path, m
     assert main(argv) == 0
     assert views and snrs and out.read_bytes() == want.read_bytes()
     run = json.loads(Path(f"{out}.manifest.json").read_text())["config"]["baselines"]
-    assert run["hb_lb"] is run["hb_gap"] is False
+    assert run["hb_lb"] is False
     dumped = json.loads(dump.read_text())["baselines"]
-    assert dumped["hb_lb"] is dumped["hb_gap"] is True
+    assert dumped["hb_lb"] is True
 
 
 def test_figure_standard_schema(tmp_path):
@@ -406,6 +406,7 @@ def test_config_rejects_misplaced_observe(tmp_path):
     "path, value",
     [
         pytest.param("baselines.hb_exact", False, id="baselines.hb_exact"),
+        pytest.param("baselines.hb_gap", False, id="baselines.hb_gap"),  # figure fig5's manifest
         pytest.param("scenario.noise_var", 1.0, id="scenario.noise_var"),
         pytest.param("scenario.n_rf", 5, id="scenario.n_rf"),
         pytest.param(
@@ -433,20 +434,18 @@ def test_run_rejects_repeated_sweep_value(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("hb_gap", [True, False], ids=["gap", "no_gap"])
 @pytest.mark.parametrize("hb_lb", [True, False], ids=["lb", "no_lb"])
-def test_run_without_bounds_leaves_bound_columns_empty(tmp_path, hb_lb, hb_gap):
-    # hb_lb: false empties the three bound columns alone (rate_gap stays), hb_gap: false rate_gap
+def test_run_without_bounds_leaves_bound_columns_empty(tmp_path, hb_lb):
+    # hb_lb: false empties the four analysis columns: the bounds and the rate gap
     tables = []
-    for name, baselines in (("default", {}), ("skipped", {"hb_lb": hb_lb, "hb_gap": hb_gap})):
+    for name, baselines in (("default", {}), ("skipped", {"hb_lb": hb_lb})):
         cfg = write_config(tmp_path, dict(VALID_CONFIG, baselines=baselines), f"{name}.json")
         out = str(tmp_path / f"{name}.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 0
         with open(out, newline="") as fh:
             tables.append(list(csv.DictReader(fh)))
     default, skipped = tables
-    empty = {"rate_lb_thm1", "rate_lb_thm2", "gap_ub_thm3"} if not hb_lb else set()
-    empty |= {"rate_gap"} if not hb_gap else set()
+    empty = {"rate_lb_thm1", "rate_lb_thm2", "rate_gap", "gap_ub_thm3"} if not hb_lb else set()
     assert len(default) == len(skipped) == 2 * 4
     for want, got in zip(default, skipped):
         assert want["rate_lb_thm1"] != "" and want["rate_gap"] != ""

@@ -99,7 +99,7 @@ def configs(draw):
     }
     if name == "cluster_size":  # the only sweep that reads it
         doc["observe_cluster"] = draw(st.integers(1, n_clusters))
-    flags = ("hb_lb", "hb_gap", "fd", "oma", "model_channels")
+    flags = ("hb_lb", "fd", "oma", "model_channels")
     optional = {
         "misalign_grid": st.one_of(
             st.none(),

@@ -333,16 +333,20 @@ def test_a_mistyped_twin_of_a_cached_layout_cannot_be_built():
 
 @pytest.mark.parametrize(
     "trials",
-    [[-1], [2**63], [0, -1], [1.5], [True], np.array([0, 2**63], dtype=np.uint64)],
-    ids=["-1", "2**63", "block-0,-1", "1.5", "True", "uint64-2**63"],
+    [[-1], [2**63], [0, -1], [1.5], [True], np.array([0, 2**63], dtype=np.uint64), [], 5],
+    ids=["-1", "2**63", "block-0,-1", "1.5", "True", "uint64-2**63", "empty", "int"],
 )
 def test_trial_indices_must_be_integers_in_the_int64_range(trials):
     # -1 would wrap to trial 2**64 - 1, 1.5 and True draw trial 1, and 2**63 ends in a raw
-    # OverflowError (wraps to -2**63 as a uint64 array)
-    bad = re.escape(f"trial {trials[-1]} is not an integer in 0..2**63-1")
+    # OverflowError (wraps to -2**63 as a uint64 array); no index, or an int, ends in a raw
+    # ValueError (reshape) or TypeError (len)
+    if isinstance(trials, int) or not len(trials):
+        bad = re.escape(f"trials must hold >= 1 trial indices, got {trials!r}")
+    else:
+        bad = re.escape(f"trial {trials[-1]} is not an integer in 0..2**63-1")
     with pytest.raises(ConfigError, match=bad):
         block_metrics(FIG4A, 1, trials)
-    if len(trials) == 1:
+    if not isinstance(trials, int) and len(trials) == 1:
         with pytest.raises(ConfigError, match=bad):
             trial_metrics(FIG4A, 1, trials[0])
     block_metrics(FIG4A, 1, np.array([0, 2**63 - 1]))  # the ends of the range draw
@@ -356,17 +360,6 @@ def test_cluster_spec_normalises_to_floats():
         trial_metrics(_with_first_cluster(FIG4A, loose), 2, 3, snr_db=15.0),
         trial_metrics(_with_first_cluster(FIG4A, strict), 2, 3, snr_db=15.0),
     )
-
-
-def test_a_config_is_hashed_once_when_built():
-    # the layout and user-key caches look a config up on every call: they read the hash stored
-    # when it was built, not a rehash of every gains_db tuple
-    cluster = ClusterSpec(10.0, (0.0, -1.0))
-    cfg = _with_first_cluster(FIG4A, cluster)
-    built = hash(cluster), hash(cfg)
-    object.__setattr__(cluster, "gains_db", (5.0,))
-    object.__setattr__(cfg, "n_bs", 64)
-    assert (hash(cluster), hash(cfg)) == built
 
 
 def test_equal_configs_share_one_cached_layout():

@@ -109,6 +109,13 @@ def test_worker_count_below_one_is_rejected(workers):
         run_experiment(small_spec(trials=3), workers=workers)
 
 
+@pytest.mark.parametrize("workers", [True, 1.5, 2.0, "2", None])
+def test_worker_count_that_is_no_int_is_rejected(workers):
+    # True would run as 1; a float, str or None ends in a raw TypeError
+    with pytest.raises(ConfigError, match=f"workers must be an int, got {workers!r}"):
+        run_experiment(small_spec(trials=200), workers=workers)
+
+
 def test_misalign_grid_labels_systems():
     spec = small_spec(misalign_grid=(0.0, 3.0), trials=10)
     table = run_experiment(spec)

@@ -62,7 +62,7 @@ def _spec(**overrides):
 SPECS = {
     # b0 and b3 cells beside the fd and oma references
     "grid": _spec(misalign_grid=(0.0, 3.0), baselines=Baselines(fd=True, oma=True)),
-    # one misalignment, so the system is "hb"; every bound column stays empty
+    # one misalignment, so the system is "hb"; every analysis column stays empty
     "no_bounds": _spec(baselines=Baselines(hb_lb=False, fd=True)),
     # integer sweep values, and an id that csv.writer has to quote
     "n_bs": _spec(
@@ -116,7 +116,7 @@ def test_tables_cover_every_writer_case(tables):
     assert no_bounds.systems == ("hb", "fd")
     hb = cells_of(no_bounds, "hb")
     assert all(np.isnan(c.rate_lb_thm1).all() and np.isnan(c.gap_ub_thm3).all() for c in hb)
-    assert all(not np.isnan(c.rate_gap).any() and not np.isnan(c.rho_mean).any() for c in hb)
+    assert all(np.isnan(c.rate_gap).all() and not np.isnan(c.rho_mean).any() for c in hb)
     # a first-decoded user has bounds but no Theorem 3 gap bound
     b3 = cells_of(grid, "b3")
     first = np.concatenate([c.rate_lb_thm2[np.isnan(c.gap_ub_thm3)] for c in b3])
